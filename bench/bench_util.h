@@ -11,11 +11,13 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "backend/backend.h"
+#include "net/http_server.h"
 #include "obs/recorder.h"
 #include "obs/session.h"
-#include "obs/telemetry_server.h"
+#include "obs/telemetry.h"
 #include "viz/svg.h"
 
 namespace gva::bench {
@@ -68,8 +70,9 @@ inline void MaybeWriteFigure(const SvgFigure& figure,
 ///   --telemetry-port=N  serve /metrics, /metrics.json, /healthz and
 ///                    /flightz on 127.0.0.1:N for the run's lifetime
 ///                    (0 = ephemeral port, printed on startup); applied
-///                    immediately, exits 2 when the port cannot be bound
-///                    so a scrape target never silently goes missing.
+///                    immediately, exits 2 when the value is not a port
+///                    in 0-65535 or cannot be bound, so a scrape target
+///                    never silently goes missing.
 ///                    Also installs the fatal-signal flight dump.
 struct ObsFlags {
   std::string trace_path;
@@ -103,9 +106,11 @@ inline bool ParseObsFlag(const std::string& arg, ObsFlags* flags) {
   }
   if (arg.rfind("--telemetry-port=", 0) == 0) {
     obs::InstallFlightSignalHandler();
-    obs::TelemetryServer::Options options;
-    options.port = static_cast<uint16_t>(
-        std::strtoul(arg.substr(17).c_str(), nullptr, 10));
+    net::HttpServerOptions options;
+    if (!net::ParsePort(std::string_view(arg).substr(17), &options.port)) {
+      std::fprintf(stderr, "--telemetry-port must be a port in 0-65535\n");
+      std::exit(2);
+    }
     const Status status = obs::StartGlobalTelemetry(options);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -131,11 +136,7 @@ inline std::unique_ptr<obs::ObsSession> MakeObsSession(
   options.trace_path = flags.trace_path;
   options.metrics_path = flags.metrics_path;
   options.announce = !flags.quiet;
-  auto session = std::make_unique<obs::ObsSession>(options);
-  // The session constructor reset every gauge; restore the selection
-  // record so the metrics export names the backend that ran.
-  backend::AnnounceActiveBackend();
-  return session;
+  return std::make_unique<obs::ObsSession>(options);
 }
 
 }  // namespace gva::bench

@@ -45,8 +45,8 @@
 //
 // Observability (see DESIGN.md §6 and §12):
 //   --trace PATH    capture a Chrome trace-event JSON (chrome://tracing)
-//   --metrics PATH  write the metrics-registry snapshot as JSON and print
-//                   the per-stage timing summary
+//   --metrics PATH  write the metrics this run added to the registry as
+//                   JSON and print the per-stage timing summary
 //   --telemetry-port N  serve live telemetry over HTTP on 127.0.0.1:N for
 //                   the process lifetime (0 = ephemeral port, printed at
 //                   startup): /metrics (Prometheus), /metrics.json,
@@ -78,7 +78,8 @@
 #include "datasets/power_demand.h"
 #include "obs/recorder.h"
 #include "obs/session.h"
-#include "obs/telemetry_server.h"
+#include "net/http_server.h"
+#include "obs/telemetry.h"
 #include "timeseries/io.h"
 #include "util/csv.h"
 #include "viz/ascii_plot.h"
@@ -573,9 +574,11 @@ int main(int argc, char** argv) {
   obs::InstallFlightSignalHandler();
 
   if (args.has_flag("telemetry-port")) {
-    obs::TelemetryServer::Options telemetry;
-    telemetry.port =
-        static_cast<uint16_t>(args.get_size("telemetry-port", 0));
+    net::HttpServerOptions telemetry;
+    if (!net::ParsePort(args.options.at("telemetry-port"), &telemetry.port)) {
+      std::fprintf(stderr, "--telemetry-port must be a port in 0-65535\n");
+      return 2;
+    }
     const Status status = obs::StartGlobalTelemetry(telemetry);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -599,19 +602,21 @@ int main(int argc, char** argv) {
     }
     obs_options.announce = !quiet;
     session.emplace(std::move(obs_options));
-    // The session constructor reset every gauge; restore the selection
-    // record so the metrics export names the backend that ran.
-    backend::AnnounceActiveBackend();
   }
+  // The per-stage table shows the session's own window, exactly what the
+  // metrics file holds.
+  const auto print_stage_table = [&session, quiet] {
+    if (session.has_value() && session->metrics() && !quiet) {
+      std::printf("\n--- per-stage metrics ---\n%s",
+                  MetricsSummaryTable(session->MetricsSnapshot()).c_str());
+    }
+  };
 
   // Stream handles its own input (it accepts "-" for stdin, which LoadInput
   // cannot), so dispatch before the batch loading path.
   if (args.command == "stream") {
-    int exit_code = RunStream(args);
-    if (session.has_value() && session->metrics() && !quiet) {
-      std::printf("\n--- per-stage metrics ---\n%s",
-                  MetricsSummaryTable(obs::GlobalMetrics()).c_str());
-    }
+    const int exit_code = RunStream(args);
+    print_stage_table();
     return exit_code;
   }
 
@@ -640,9 +645,6 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  if (session.has_value() && session->metrics() && !quiet) {
-    std::printf("\n--- per-stage metrics ---\n%s",
-                MetricsSummaryTable(obs::GlobalMetrics()).c_str());
-  }
+  print_stage_table();
   return exit_code;
 }

@@ -3,41 +3,31 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/job_runner.h"
 #include "core/streaming.h"
 #include "net/http.h"
+#include "net/http_server.h"
 #include "util/statusor.h"
 
 namespace gva::net {
 
-struct AnomalyServerOptions {
-  /// TCP port; 0 asks the kernel for an ephemeral one (read it back from
-  /// port()).
-  uint16_t port = 0;
-  /// Loopback by default — the API is plaintext and unauthenticated.
-  std::string bind_address = "127.0.0.1";
+/// Socket settings (port, bind address, connection cap, parser limits) come
+/// from HttpServerOptions; the rest configures the routes behind them.
+struct AnomalyServerOptions : HttpServerOptions {
   /// Slot/queue scheduling of detection jobs.
   JobRunnerOptions runner;
   /// Cap on live streaming sessions across all tenants.
   size_t max_streams = 64;
-  /// Cap on simultaneously open connections; the listener stops accepting
-  /// (clients queue in the kernel backlog) while at the cap.
-  size_t max_connections = 64;
-  /// Parser limits (header block 16 KiB, body 8 MiB by default — an inline
-  /// series of ~400k JSON doubles).
-  HttpParser::Limits http_limits;
 };
 
-/// The gva_serverd engine: a single-threaded poll() event loop serving the
-/// multi-tenant anomaly-detection API over HTTP/1.1, with detection work
+/// The gva_serverd engine: the multi-tenant anomaly-detection API served
+/// over HTTP/1.1 by one net::HttpServer reactor, with detection work
 /// delegated to a JobRunner worker pool so a long RRA search never blocks
 /// the socket loop (DESIGN.md §13). Embeddable: tests Start() it
 /// in-process on an ephemeral port and speak to it over real sockets, or
@@ -75,12 +65,12 @@ class AnomalyServer {
   AnomalyServer(const AnomalyServer&) = delete;
   AnomalyServer& operator=(const AnomalyServer&) = delete;
 
-  /// Wakes the event loop, drains pending writes briefly, joins the loop
-  /// thread, and shuts the job runner down. Idempotent.
+  /// Stops the HTTP reactor (pending writes drained briefly, loop thread
+  /// joined), then shuts the job runner down. Idempotent.
   void Stop();
 
   /// The bound port (the kernel's choice when options.port was 0).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return http_->port(); }
 
   /// Read end of the shutdown-event pipe: becomes readable when a
   /// POST /v1/admin/shutdown lands. The daemon's main() polls this next to
@@ -104,31 +94,13 @@ class AnomalyServer {
   size_t stream_count() const;
 
  private:
-  struct Connection {
-    int fd = -1;
-    HttpParser parser;
-    std::string out;   ///< serialized responses awaiting POLLOUT
-    bool close_after_write = false;
-  };
-
   struct StreamSession {
     std::string tenant;
     StreamingAnomalyMonitor monitor;
   };
 
-  AnomalyServer(const AnomalyServerOptions& options, int listen_fd,
-                int wake_read_fd, int wake_write_fd, int event_read_fd,
-                int event_write_fd, uint16_t port,
-                std::unique_ptr<JobRunner> runner);
-
-  void EventLoop();
-  void AcceptConnections(std::vector<Connection>* connections);
-  /// Reads, parses, handles, and queues responses for one connection.
-  /// Returns false when the connection should be dropped immediately.
-  bool ServiceReadable(Connection* connection);
-  bool ServiceWritable(Connection* connection);
-  /// Best-effort flush of pending responses at shutdown.
-  void DrainPendingWrites(std::vector<Connection>* connections);
+  AnomalyServer(const AnomalyServerOptions& options, int event_read_fd,
+                int event_write_fd, std::unique_ptr<JobRunner> runner);
 
   // Route handlers. Each fills `response` (status, body, content type).
   void HandleJobSubmit(const HttpRequest& request, HttpResponse* response);
@@ -141,12 +113,8 @@ class AnomalyServer {
   std::vector<std::string> HealthzExtra() const;
 
   const AnomalyServerOptions options_;
-  const int listen_fd_;
-  const int wake_read_fd_;   ///< self-pipe: Stop() wakes the poll loop
-  const int wake_write_fd_;
   const int shutdown_event_read_fd_;   ///< admin shutdown notification
   const int shutdown_event_write_fd_;
-  const uint16_t port_;
   const std::chrono::steady_clock::time_point started_;
 
   std::unique_ptr<JobRunner> runner_;
@@ -158,7 +126,9 @@ class AnomalyServer {
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_requested_{false};
-  std::thread thread_;
+  /// Its loop thread calls HandleRequest, so it is declared after (and
+  /// started once) every route's state exists, and stopped first.
+  std::unique_ptr<HttpServer> http_;
 };
 
 }  // namespace gva::net

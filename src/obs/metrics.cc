@@ -1,8 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string_view>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -139,8 +143,39 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::ToJson() const {
-  const std::vector<MetricSample> samples = Snapshot();
+std::vector<MetricSample> MetricsDelta(
+    const std::vector<MetricSample>& baseline,
+    const std::vector<MetricSample>& now) {
+  std::map<std::pair<std::string_view, MetricSample::Kind>,
+           const MetricSample*>
+      before;
+  for (const MetricSample& s : baseline) {
+    before[{s.name, s.kind}] = &s;
+  }
+  std::vector<MetricSample> delta = now;
+  for (MetricSample& s : delta) {
+    const auto it = before.find({s.name, s.kind});
+    if (it == before.end()) {
+      continue;
+    }
+    const MetricSample& base = *it->second;
+    s.counter_value -= base.counter_value;
+    s.histogram_count -= base.histogram_count;
+    s.histogram_sum -= base.histogram_sum;
+    std::array<uint64_t, kHistogramBuckets> base_buckets{};
+    for (const auto& [index, count] : base.histogram_buckets) {
+      base_buckets[index] = count;
+    }
+    for (auto& [index, count] : s.histogram_buckets) {
+      count -= base_buckets[index];
+    }
+    std::erase_if(s.histogram_buckets,
+                  [](const auto& bucket) { return bucket.second == 0; });
+  }
+  return delta;
+}
+
+std::string MetricsJson(const std::vector<MetricSample>& samples) {
   std::string json = "{\n  \"metrics\": {\n";
   for (size_t i = 0; i < samples.size(); ++i) {
     const MetricSample& s = samples[i];
@@ -174,18 +209,7 @@ std::string MetricsRegistry::ToJson() const {
   return json;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-}
+std::string MetricsRegistry::ToJson() const { return MetricsJson(Snapshot()); }
 
 MetricsRegistry& GlobalMetrics() {
   static MetricsRegistry* registry = new MetricsRegistry();

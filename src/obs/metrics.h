@@ -180,14 +180,30 @@ struct MetricSample {
 /// Convenience overload over a snapshot sample's sparse buckets.
 double HistogramQuantile(const MetricSample& sample, double q);
 
-/// Thread-safe named registry. Lookup (counter/gauge/histogram) takes a
-/// mutex and is meant for setup paths; the returned references are stable
-/// for the registry's lifetime, so hot loops resolve their handle once and
-/// then pay only the primitive's relaxed-atomic cost. Metric names are
-/// dot-separated lowercase paths: <component>.<stage-or-object>.<measure>
-/// with unit suffixes where meaningful (`.us` wall-clock microseconds,
-/// `.count` plain totals) — e.g. `stage.sax.discretize.us`,
-/// `search.rra.calls.abandoned`, `pool.tasks.executed`.
+/// What accumulated between two snapshots of one registry: counters and
+/// histograms (count, sum, per-bucket counts) as `now` minus `baseline`,
+/// gauges as their `now` value. Metrics absent from the baseline count
+/// from zero. Sorted like `now`.
+std::vector<MetricSample> MetricsDelta(
+    const std::vector<MetricSample>& baseline,
+    const std::vector<MetricSample>& now);
+
+/// Machine-readable export of a snapshot:
+/// {"metrics": {"<name>": <value-or-object>}}. Counters and gauges export
+/// as integers, histograms as {"count", "sum", "buckets": {"<index>": n}}.
+std::string MetricsJson(const std::vector<MetricSample>& samples);
+
+/// Thread-safe named registry, monotonic for the life of the process: no
+/// metric is ever zeroed or forgotten, so every reader — a live /metrics
+/// scrape, an ObsSession's baseline — sees one consistent history. Lookup
+/// (counter/gauge/histogram) takes a mutex and is meant for setup paths;
+/// the returned references are stable for the registry's lifetime, so hot
+/// loops resolve their handle once and then pay only the primitive's
+/// relaxed-atomic cost. Metric names are dot-separated lowercase paths:
+/// <component>.<stage-or-object>.<measure> with unit suffixes where
+/// meaningful (`.us` wall-clock microseconds, `.count` plain totals) —
+/// e.g. `stage.sax.discretize.us`, `search.rra.calls.abandoned`,
+/// `pool.tasks.executed`.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -201,14 +217,8 @@ class MetricsRegistry {
   /// Snapshot of every registered metric, sorted by name.
   std::vector<MetricSample> Snapshot() const;
 
-  /// Machine-readable export: {"metrics": {"<name>": <value-or-object>}}.
-  /// Counters export as integers, gauges as integers, histograms as
-  /// {"count", "sum", "buckets": {"<index>": n}}.
+  /// MetricsJson(Snapshot()).
   std::string ToJson() const;
-
-  /// Zeroes every counter and gauge and forgets every histogram's samples.
-  /// Must not race with concurrent Add/Record on the same metrics.
-  void Reset();
 
  private:
   mutable std::mutex mu_;
@@ -219,8 +229,8 @@ class MetricsRegistry {
 };
 
 /// The process-wide registry the library's instrumentation points write to.
-/// Always present; reading it is only interesting while an ObsSession (or a
-/// test) is collecting.
+/// Always present; an ObsSession exports what accumulates during its
+/// window as a delta against the snapshot it takes at construction.
 MetricsRegistry& GlobalMetrics();
 
 }  // namespace gva::obs

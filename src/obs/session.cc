@@ -9,7 +9,7 @@ ObsSession::ObsSession(Options options) : options_(std::move(options)) {
     GlobalTracer().Enable();
   }
   if (metrics()) {
-    GlobalMetrics().Reset();
+    baseline_ = GlobalMetrics().Snapshot();
     SetStageTimingEnabled(true);
   }
 }
@@ -28,6 +28,13 @@ ObsSession::~ObsSession() {
   }
 }
 
+std::vector<MetricSample> ObsSession::MetricsSnapshot() const {
+  if (!metrics()) {
+    return {};
+  }
+  return MetricsDelta(baseline_, GlobalMetrics().Snapshot());
+}
+
 Status ObsSession::Flush() {
   Status first = Status::Ok();
   if (tracing()) {
@@ -39,7 +46,7 @@ Status ObsSession::Flush() {
     }
   }
   if (metrics()) {
-    const std::string json = GlobalMetrics().ToJson();
+    const std::string json = MetricsJson(MetricsSnapshot());
     std::FILE* f = std::fopen(options_.metrics_path.c_str(), "w");
     if (f == nullptr) {
       if (first.ok()) {

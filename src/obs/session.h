@@ -2,6 +2,7 @@
 #define GVA_OBS_SESSION_H_
 
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,6 +14,11 @@ namespace gva::obs {
 /// destruction, writes the requested export files. The CLI and the bench
 /// binaries create one of these from their --trace/--metrics flags; library
 /// code never does (it only hosts instrumentation points).
+///
+/// The global registry is monotonic, so a session never clears it: it
+/// snapshots a baseline at construction and exports what accumulated since
+/// (see MetricsSnapshot). Everything else reading the registry meanwhile —
+/// a live /metrics scrape in particular — keeps seeing process totals.
 class ObsSession {
  public:
   struct Options {
@@ -35,12 +41,20 @@ class ObsSession {
   bool metrics() const { return !options_.metrics_path.empty(); }
   bool active() const { return tracing() || metrics(); }
 
+  /// The session's view of GlobalMetrics(): counters and histograms as
+  /// deltas over the construction-time baseline (a metric bumped only
+  /// before the session exports 0), gauges as current values. This is what
+  /// the metrics file holds. Empty when the session does not collect
+  /// metrics.
+  std::vector<MetricSample> MetricsSnapshot() const;
+
   /// Writes the export files now (also called by the destructor; calling
   /// twice overwrites with fresher data). Returns the first error.
   Status Flush();
 
  private:
   Options options_;
+  std::vector<MetricSample> baseline_;
   bool flushed_ = false;
 };
 

@@ -218,8 +218,4 @@ std::string MetricsSummaryTable(
   return out.str();
 }
 
-std::string MetricsSummaryTable(const obs::MetricsRegistry& registry) {
-  return MetricsSummaryTable(registry.Snapshot());
-}
-
 }  // namespace gva

@@ -40,9 +40,6 @@ std::string RuleStatsTable(const GrammarDecomposition& decomposition,
 /// holds nothing (e.g. no ObsSession was active).
 std::string MetricsSummaryTable(const std::vector<obs::MetricSample>& samples);
 
-/// Convenience overload: snapshot + render in one call.
-std::string MetricsSummaryTable(const obs::MetricsRegistry& registry);
-
 }  // namespace gva
 
 #endif  // GVA_VIZ_REPORT_H_

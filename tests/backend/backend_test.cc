@@ -71,23 +71,18 @@ TEST(BackendRegistryTest, SetActiveBackendAppliesAndRejects) {
   EXPECT_EQ(&ActiveBackend(), AvailableBackends().front());
 }
 
-TEST(BackendRegistryTest, AnnounceSurvivesMetricsReset) {
-  // obs::ObsSession's constructor resets every gauge, erasing the
-  // backend.selected record made at selection time; AnnounceActiveBackend
-  // is the documented way to restore it (gva_cli and MakeObsSession call
-  // it right after starting a session).
+TEST(BackendRegistryTest, SelectionRecordsGaugeBeforeAndAfter) {
+  // The registry is monotonic, so the record made at selection time is the
+  // only one there is: each SetActiveBackend moves the gauge, and nothing
+  // ever has to restore it.
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "metrics compiled out";
   }
+  const obs::Gauge& selected = obs::GlobalMetrics().gauge("backend.selected");
   ASSERT_TRUE(SetActiveBackend("scalar").ok());
-  obs::GlobalMetrics().Reset();
-  EXPECT_EQ(obs::GlobalMetrics().gauge("backend.selected").value(), 0);
-  AnnounceActiveBackend();
-  EXPECT_EQ(obs::GlobalMetrics().gauge("backend.selected").value(),
-            static_cast<int64_t>(BackendId::kScalar));
+  EXPECT_EQ(selected.value(), static_cast<int64_t>(BackendId::kScalar));
   ASSERT_TRUE(SetActiveBackend("auto").ok());
-  EXPECT_EQ(obs::GlobalMetrics().gauge("backend.selected").value(),
-            static_cast<int64_t>(ActiveBackend().id));
+  EXPECT_EQ(selected.value(), static_cast<int64_t>(ActiveBackend().id));
 }
 
 TEST(BackendPaaSegmentSumsTest, BitIdenticalToScalarOnEveryBackend) {

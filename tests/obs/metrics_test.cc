@@ -131,14 +131,13 @@ TEST(HistogramTest, RecordsCountSumAndBuckets) {
 // ---------------------------------------------------------------------------
 // Registry.
 
-TEST(MetricsRegistryTest, HandlesAreStableAcrossLookupsAndReset) {
+TEST(MetricsRegistryTest, HandlesAreStableAcrossLookups) {
   MetricsRegistry registry;
   Counter& a = registry.counter("x.count");
   Counter& b = registry.counter("x.count");
   EXPECT_EQ(&a, &b);
   Histogram& h1 = registry.histogram("x.hist");
   registry.counter("y.count");  // map growth must not move existing nodes
-  registry.Reset();
   EXPECT_EQ(&registry.counter("x.count"), &a);
   EXPECT_EQ(&registry.histogram("x.hist"), &h1);
   if constexpr (kEnabled) {
@@ -179,6 +178,40 @@ TEST(MetricsRegistryTest, ToJsonNamesEveryMetric) {
   EXPECT_NE(json.find("\"search.calls\""), std::string::npos);
   EXPECT_NE(json.find("\"pool.depth\""), std::string::npos);
   EXPECT_NE(json.find("\"dist.hist\""), std::string::npos);
+}
+
+TEST(MetricsDeltaTest, SubtractsCountersAndHistogramsKeepsGauges) {
+  if constexpr (!kEnabled) {
+    GTEST_SKIP() << "metrics compiled out";
+  }
+  MetricsRegistry registry;
+  registry.counter("a.count").Add(5);
+  registry.gauge("b.depth").Set(9);
+  registry.histogram("c.hist").Record(1.5);
+  registry.histogram("c.hist").Record(100.0);
+  const std::vector<MetricSample> baseline = registry.Snapshot();
+
+  registry.counter("a.count").Add(2);
+  registry.gauge("b.depth").Set(4);
+  registry.histogram("c.hist").Record(1.5);
+  registry.counter("d.count").Add(3);  // born after the baseline
+  const std::vector<MetricSample> delta =
+      MetricsDelta(baseline, registry.Snapshot());
+
+  ASSERT_EQ(delta.size(), 4u);
+  EXPECT_EQ(delta[0].name, "a.count");
+  EXPECT_EQ(delta[0].counter_value, 2u);
+  EXPECT_EQ(delta[1].name, "b.depth");
+  EXPECT_EQ(delta[1].gauge_value, 4);  // current value, not 4 - 9
+  EXPECT_EQ(delta[2].name, "c.hist");
+  EXPECT_EQ(delta[2].histogram_count, 1u);
+  EXPECT_DOUBLE_EQ(delta[2].histogram_sum, 1.5);
+  // The 100.0 bucket saw nothing new, so only the 1.5 bucket remains.
+  ASSERT_EQ(delta[2].histogram_buckets.size(), 1u);
+  EXPECT_EQ(delta[2].histogram_buckets[0],
+            std::make_pair(HistogramBucketFor(1.5), uint64_t{1}));
+  EXPECT_EQ(delta[3].name, "d.count");
+  EXPECT_EQ(delta[3].counter_value, 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "backend/backend.h"
 #include "core/rra.h"
 #include "datasets/ecg.h"
 #include "obs/metrics.h"
@@ -103,6 +105,102 @@ TEST_F(ObsExportTest, MetricsOnlySessionLeavesTracerIdle) {
   }
   EXPECT_NE(ReadFileOrEmpty(metrics_path).find("\"metrics\""),
             std::string::npos);
+}
+
+// The registry is monotonic; a session exports what accumulated inside its
+// window as a delta over the snapshot it took at construction (DESIGN.md
+// §6). Nothing is cleared, so nothing has to be re-announced.
+class ObsSessionDeltaTest : public ObsExportTest {
+ protected:
+  void SetUp() override {
+    if constexpr (!obs::kEnabled) {
+      GTEST_SKIP() << "metrics compiled out";
+    }
+  }
+
+  /// Runs `body` inside a metrics session; returns the exported file.
+  template <typename Body>
+  std::string ExportFrom(const std::string& name, Body body) {
+    const std::string path = TmpPath(name);
+    {
+      obs::ObsSession::Options options;
+      options.metrics_path = path;
+      options.announce = false;
+      obs::ObsSession session(options);
+      body(session);
+    }
+    const std::string json = ReadFileOrEmpty(path);
+    std::remove(path.c_str());
+    return json;
+  }
+};
+
+/// The exported value text of metric `name` in a metrics JSON file (up to
+/// the end of its line, trailing comma dropped), or "<absent>".
+std::string ExportedValue(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) {
+    return "<absent>";
+  }
+  const size_t begin = at + key.size();
+  std::string value = json.substr(begin, json.find('\n', begin) - begin);
+  if (!value.empty() && value.back() == ',') {
+    value.pop_back();
+  }
+  return value;
+}
+
+const obs::MetricSample* FindSample(
+    const std::vector<obs::MetricSample>& samples, const std::string& name) {
+  for (const obs::MetricSample& s : samples) {
+    if (s.name == name) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+TEST_F(ObsSessionDeltaTest, CounterBumpedBeforeSessionExportsZero) {
+  obs::GlobalMetrics().counter("session_test.before_only").Add(7);
+  std::vector<obs::MetricSample> snapshot;
+  const std::string json =
+      ExportFrom("before_only.json", [&](const obs::ObsSession& session) {
+        snapshot = session.MetricsSnapshot();
+      });
+  const obs::MetricSample* sample =
+      FindSample(snapshot, "session_test.before_only");
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->counter_value, 0u);
+  EXPECT_EQ(ExportedValue(json, "session_test.before_only"), "0");
+  // The live registry still holds the process total.
+  EXPECT_GE(obs::GlobalMetrics().counter("session_test.before_only").value(),
+            7u);
+}
+
+TEST_F(ObsSessionDeltaTest, BumpsInsideSessionExportExactCount) {
+  obs::Counter& inside = obs::GlobalMetrics().counter("session_test.inside");
+  obs::Histogram& latency =
+      obs::GlobalMetrics().histogram("session_test.inside.us");
+  inside.Add(11);  // before the window: excluded
+  latency.Record(3.0);
+  const std::string json =
+      ExportFrom("inside.json", [&](const obs::ObsSession&) {
+        inside.Add(3);
+        latency.Record(3.0);
+        latency.Record(3.0);
+      });
+  EXPECT_EQ(ExportedValue(json, "session_test.inside"), "3");
+  EXPECT_EQ(ExportedValue(json, "session_test.inside.us"),
+            "{\"count\": 2, \"sum\": 6.000000, \"buckets\": {\"2\": 2}}");
+}
+
+TEST_F(ObsSessionDeltaTest, BackendSelectedExportedWithoutReannounce) {
+  const backend::KernelBackend& active = backend::ActiveBackend();
+  const std::string json =
+      ExportFrom("backend.json", [](const obs::ObsSession&) {});
+  EXPECT_EQ(ExportedValue(json, "backend.selected"),
+            std::to_string(static_cast<int>(active.id)));
 }
 
 }  // namespace

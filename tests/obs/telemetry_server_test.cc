@@ -1,4 +1,7 @@
-#include "obs/telemetry_server.h"
+// The --telemetry-port endpoint: obs::StartGlobalTelemetry serving the
+// telemetry routes on the shared net::HttpServer reactor, driven over real
+// sockets.
+#include "obs/telemetry.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -6,6 +9,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,18 +19,18 @@
 
 #include <gtest/gtest.h>
 
+#include "net/http_server.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 
 namespace gva {
 namespace {
 
-/// Blocking one-shot HTTP GET over a raw socket; returns the full response
-/// (headers + body), or empty on any failure.
-std::string HttpGet(uint16_t port, const std::string& path) {
+/// A connected loopback TCP socket, or -1.
+int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return std::string();
+    return -1;
   }
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -35,6 +40,16 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Blocking one-shot HTTP GET over a raw socket; returns the full response
+/// (headers + body), or empty on any failure.
+std::string HttpGet(uint16_t port, const std::string& path) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) {
     return std::string();
   }
   const std::string request =
@@ -64,19 +79,19 @@ std::string HttpGet(uint16_t port, const std::string& path) {
 class TelemetryServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::TelemetryServer::Options options;  // port 0: ephemeral
-    auto server = obs::TelemetryServer::Start(options);
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    server_ = std::move(server).value();
-    ASSERT_NE(server_->port(), 0);
+    net::HttpServerOptions options;  // port 0: ephemeral
+    const Status started = obs::StartGlobalTelemetry(options);
+    ASSERT_TRUE(started.ok()) << started.ToString();
+    ASSERT_NE(port(), 0);
   }
+  void TearDown() override { obs::StopGlobalTelemetry(); }
 
-  std::unique_ptr<obs::TelemetryServer> server_;
+  uint16_t port() const { return obs::GlobalTelemetry()->port(); }
 };
 
 TEST_F(TelemetryServerTest, MetricsRouteServesPrometheusText) {
   obs::GlobalMetrics().counter("telemetry_test.hits").Add(3);
-  const std::string response = HttpGet(server_->port(), "/metrics");
+  const std::string response = HttpGet(port(), "/metrics");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   if constexpr (obs::kEnabled) {
@@ -86,14 +101,14 @@ TEST_F(TelemetryServerTest, MetricsRouteServesPrometheusText) {
 }
 
 TEST_F(TelemetryServerTest, MetricsJsonRouteServesRegistryJson) {
-  const std::string response = HttpGet(server_->port(), "/metrics.json");
+  const std::string response = HttpGet(port(), "/metrics.json");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("application/json"), std::string::npos);
   EXPECT_NE(response.find("\"metrics\""), std::string::npos);
 }
 
 TEST_F(TelemetryServerTest, HealthzReportsOkAndBackend) {
-  const std::string response = HttpGet(server_->port(), "/healthz");
+  const std::string response = HttpGet(port(), "/healthz");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(response.find("\"backend\": \""), std::string::npos);
@@ -101,56 +116,69 @@ TEST_F(TelemetryServerTest, HealthzReportsOkAndBackend) {
 }
 
 TEST_F(TelemetryServerTest, FlightzServesChromeTraceJson) {
-  const std::string response = HttpGet(server_->port(), "/flightz");
+  const std::string response = HttpGet(port(), "/flightz");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST_F(TelemetryServerTest, UnknownPathIs404) {
-  const std::string response = HttpGet(server_->port(), "/nope");
+  const std::string response = HttpGet(port(), "/nope");
   EXPECT_NE(response.find("HTTP/1.1 404 Not Found"), std::string::npos);
 }
 
 TEST_F(TelemetryServerTest, QueryStringIsIgnoredForRouting) {
-  const std::string response = HttpGet(server_->port(), "/healthz?probe=1");
+  const std::string response = HttpGet(port(), "/healthz?probe=1");
   EXPECT_NE(response.find("\"status\": \"ok\""), std::string::npos);
 }
 
 TEST_F(TelemetryServerTest, RequestCounterAdvancesPerScrape) {
-  const uint64_t before = server_->requests_served();
-  HttpGet(server_->port(), "/metrics");
-  HttpGet(server_->port(), "/healthz");
-  EXPECT_EQ(server_->requests_served(), before + 2);
-  if constexpr (obs::kEnabled) {
-    const std::string response = HttpGet(server_->port(), "/metrics");
-    EXPECT_NE(response.find("gva_telemetry_requests_total"),
-              std::string::npos);
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "metrics compiled out";
   }
+  const obs::Counter& requests =
+      obs::GlobalMetrics().counter("telemetry.requests");
+  const uint64_t before = requests.value();
+  HttpGet(port(), "/metrics");
+  HttpGet(port(), "/healthz");
+  EXPECT_EQ(requests.value(), before + 2);
+  const std::string response = HttpGet(port(), "/metrics");
+  EXPECT_NE(response.find("gva_telemetry_requests_total"), std::string::npos);
 }
 
-// The ObsSession constructor resets the whole global registry — including
-// the server's own `telemetry.*` series. The contract: the very next
-// scrape re-publishes them, so a Prometheus target never loses the series
-// across an instrumented run.
-TEST_F(TelemetryServerTest, TelemetrySeriesSurviveObsSessionReset) {
+// A scraper that connects and stalls mid-request holds only its own
+// connection: the reactor keeps serving everyone else.
+TEST_F(TelemetryServerTest, StalledScraperDoesNotBlockHealthz) {
+  const int stalled = ConnectLoopback(port());
+  ASSERT_GE(stalled, 0);
+  ASSERT_EQ(::write(stalled, "GET /metr", 9), 9);
+  // Give the loop time to accept the stalled connection and read its
+  // fragment before the healthy request arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = HttpGet(port(), "/healthz");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(response.find("\"status\": \"ok\""), std::string::npos);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
+  ::close(stalled);
+}
+
+// The registry is monotonic and the port gauge is set once, at start: a
+// scrape inside an ObsSession's window still shows it, with nothing
+// re-published per request.
+TEST_F(TelemetryServerTest, MetricsScrapeDuringObsSessionShowsTelemetryPort) {
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "observability disabled in this build";
   }
-  const std::string before = HttpGet(server_->port(), "/metrics");
-  ASSERT_NE(before.find("gva_telemetry_port"), std::string::npos);
-
   const std::string metrics_path =
-      ::testing::TempDir() + "gva_telemetry_reset_metrics.json";
+      ::testing::TempDir() + "gva_telemetry_session_metrics.json";
   {
     obs::ObsSession::Options options;
     options.metrics_path = metrics_path;
     options.announce = false;
-    obs::ObsSession session(options);  // constructor resets GlobalMetrics()
-    const std::string during = HttpGet(server_->port(), "/metrics");
-    // Scraping inside the session window re-registers the gauge with the
-    // live port value.
+    obs::ObsSession session(options);
+    const std::string during = HttpGet(port(), "/metrics");
     const std::string expected =
-        "gva_telemetry_port " + std::to_string(server_->port());
+        "gva_telemetry_port " + std::to_string(port());
     EXPECT_NE(during.find(expected), std::string::npos) << during;
   }
   std::remove(metrics_path.c_str());
@@ -180,7 +208,7 @@ TEST_F(TelemetryServerTest, ConcurrentScrapeAndMutationIsRaceFree) {
   for (int t = 0; t < 2; ++t) {
     scrapers.emplace_back([this] {
       for (int i = 0; i < 10; ++i) {
-        const std::string response = HttpGet(server_->port(), "/metrics");
+        const std::string response = HttpGet(port(), "/metrics");
         EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
       }
     });
@@ -195,27 +223,29 @@ TEST_F(TelemetryServerTest, ConcurrentScrapeAndMutationIsRaceFree) {
 }
 
 TEST(TelemetryServerStartTest, RejectsBadBindAddress) {
-  obs::TelemetryServer::Options options;
+  net::HttpServerOptions options;
   options.bind_address = "not-an-address";
-  auto server = obs::TelemetryServer::Start(options);
-  EXPECT_FALSE(server.ok());
+  EXPECT_FALSE(obs::StartGlobalTelemetry(options).ok());
+  EXPECT_EQ(obs::GlobalTelemetry(), nullptr);
 }
 
 TEST(TelemetryServerStartTest, PortCollisionFailsCleanly) {
-  obs::TelemetryServer::Options options;
-  auto first = obs::TelemetryServer::Start(options);
+  auto first = net::HttpServer::Start(
+      net::HttpServerOptions{},
+      [](const net::HttpRequest&) { return net::HttpResponse{}; });
   ASSERT_TRUE(first.ok());
+  net::HttpServerOptions options;
   options.port = first.value()->port();
-  auto second = obs::TelemetryServer::Start(options);
-  EXPECT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kIoError);
+  const Status second = obs::StartGlobalTelemetry(options);
+  EXPECT_EQ(second.code(), StatusCode::kIoError);
+  EXPECT_EQ(obs::GlobalTelemetry(), nullptr);
 }
 
 TEST(GlobalTelemetryTest, StartScrapeStopIsIdempotent) {
   obs::StopGlobalTelemetry();  // clean slate; safe without a prior Start
   EXPECT_EQ(obs::GlobalTelemetry(), nullptr);
 
-  obs::TelemetryServer::Options options;
+  net::HttpServerOptions options;
   ASSERT_TRUE(obs::StartGlobalTelemetry(options).ok());
   ASSERT_NE(obs::GlobalTelemetry(), nullptr);
   const uint16_t port = obs::GlobalTelemetry()->port();

@@ -160,8 +160,11 @@ TEST(ScopedSpanTest, StageTimingFeedsTheGlobalRegistry) {
     return;
   }
   GlobalTraceCapture capture;
+  Counter& count = GlobalMetrics().counter("stage.teststage.alpha.count");
+  Counter& us = GlobalMetrics().counter("stage.teststage.alpha.us");
+  const uint64_t count_before = count.value();
+  const uint64_t us_before = us.value();
   SetStageTimingEnabled(true);
-  GlobalMetrics().Reset();
   {
     ScopedSpan span("teststage.alpha");
   }
@@ -169,11 +172,10 @@ TEST(ScopedSpanTest, StageTimingFeedsTheGlobalRegistry) {
     ScopedSpan span("teststage.alpha");
   }
   SetStageTimingEnabled(false);
-  EXPECT_EQ(GlobalMetrics().counter("stage.teststage.alpha.count").value(),
-            2u);
-  // .us is duration-dependent; only its existence and monotonicity are
-  // stable. Two instant spans may still round to 0 microseconds.
-  EXPECT_GE(GlobalMetrics().counter("stage.teststage.alpha.us").value(), 0u);
+  EXPECT_EQ(count.value() - count_before, 2u);
+  // .us is duration-dependent; only its monotonicity is stable. Two
+  // instant spans may still round to 0 microseconds.
+  EXPECT_GE(us.value(), us_before);
 }
 
 }  // namespace
