@@ -604,20 +604,28 @@ int main(int argc, char** argv) {
     session.emplace(std::move(obs_options));
   }
   // The per-stage table shows the session's own window, exactly what the
-  // metrics file holds.
-  const auto print_stage_table = [&session, quiet] {
-    if (session.has_value() && session->metrics() && !quiet) {
+  // metrics file holds. A failed export fails the run.
+  const auto finish = [&session, quiet](int exit_code) {
+    if (!session.has_value()) {
+      return exit_code;
+    }
+    if (session->metrics() && !quiet) {
       std::printf("\n--- per-stage metrics ---\n%s",
                   MetricsSummaryTable(session->MetricsSnapshot()).c_str());
     }
+    const Status status = session->Flush();
+    if (!status.ok()) {
+      std::fprintf(stderr, "obs export failed: %s\n",
+                   status.ToString().c_str());
+      return 1;
+    }
+    return exit_code;
   };
 
   // Stream handles its own input (it accepts "-" for stdin, which LoadInput
   // cannot), so dispatch before the batch loading path.
   if (args.command == "stream") {
-    const int exit_code = RunStream(args);
-    print_stage_table();
-    return exit_code;
+    return finish(RunStream(args));
   }
 
   StatusOr<TimeSeries> series = LoadInput(args);
@@ -645,6 +653,5 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  print_stage_table();
-  return exit_code;
+  return finish(exit_code);
 }

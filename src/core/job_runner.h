@@ -118,8 +118,9 @@ struct JobRunnerOptions {
   /// Bounded FIFO admission queue behind the slots; Submit is rejected
   /// with ResourceExhausted when full (the server maps that to 429).
   size_t queue_capacity = 8;
-  /// Clamp on JobSpec::num_threads, bounding total pool lanes at
-  /// slots * max_threads_per_job.
+  /// Clamp on JobSpec::num_threads, the lane cap of each job's searches.
+  /// Total worker threads are bounded by the shared pool (hardware
+  /// concurrency), not by slots * max_threads_per_job.
   size_t max_threads_per_job = 4;
   /// Largest accepted series (InvalidArgument beyond).
   size_t max_series_points = 2000000;

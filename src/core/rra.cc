@@ -127,7 +127,7 @@ struct RoundProgress {
 bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
                      const std::vector<char>& excluded, bool normalize,
                      bool exact_nn, size_t refine_delta,
-                     const std::atomic<bool>* cancel, ThreadPool& pool,
+                     const std::atomic<bool>* cancel, size_t num_threads,
                      NnCache& cache, obs::BestSoFarLog& trajectory,
                      RoundProgress* progress, DiscordRecord* best) {
   GVA_OBS_SPAN("search.rra.round");
@@ -154,13 +154,12 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
     shared_best.RaiseTo(overall.distance);
   }
 
-  std::vector<BestCandidate> chunk_best(pool.num_threads());
-  std::vector<std::vector<CacheUpdate>> chunk_updates(pool.num_threads());
-  std::vector<RoundProgress> chunk_progress(pool.num_threads());
+  const size_t lanes = ThreadPool::ResolveThreadCount(num_threads);
+  std::vector<BestCandidate> chunk_best(lanes);
+  std::vector<std::vector<CacheUpdate>> chunk_updates(lanes);
+  std::vector<RoundProgress> chunk_progress(lanes);
 
-  pool.ParallelFor(0, state.outer_order.size(), [&](size_t chunk_begin,
-                                                    size_t chunk_end,
-                                                    size_t chunk) {
+  const auto scan = [&](size_t chunk_begin, size_t chunk_end, size_t chunk) {
     GVA_OBS_SPAN("search.rra.chunk");
     BestCandidate local;
     RoundProgress tally;
@@ -293,7 +292,8 @@ bool FindBestDiscord(const SubsequenceDistance& dist, const SearchState& state,
     }
     chunk_best[chunk] = local;
     chunk_progress[chunk] = tally;
-  });
+  };
+  ThreadPool::ParallelFor(num_threads, 0, state.outer_order.size(), scan);
 
   // Post-round merge: publish what the chunks learned. Each candidate index
   // appears in at most one update list, so the merged cache state does not
@@ -343,7 +343,6 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
       BuildOrders(candidates, series.size(), options.seed);
   SubsequenceDistance dist(series, options.sax.znorm_epsilon);
   std::vector<char> excluded(candidates.size(), 0);
-  ThreadPool pool(options.num_threads);
   NnCache cache;
   cache.nn.assign(candidates.size(), SubsequenceDistance::kInfinity);
   cache.exact.assign(candidates.size(), 0);
@@ -359,8 +358,8 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
         2, options.sax.window / std::max<size_t>(1, 2 * options.sax.paa_size));
     const bool found = FindBestDiscord(
         dist, state, excluded, options.normalize_by_length,
-        options.exact_nearest_neighbor, refine_delta, options.cancel, pool,
-        cache, trajectory, &progress, &best);
+        options.exact_nearest_neighbor, refine_delta, options.cancel,
+        options.num_threads, cache, trajectory, &progress, &best);
     // A cancelled round may have skipped candidates, so whatever it
     // reported is not trustworthy: the whole search fails as Cancelled.
     if (options.cancel != nullptr &&
@@ -385,7 +384,6 @@ StatusOr<DiscordResult> FindRraDiscordsInDecomposition(
   result.candidates_pruned = progress.pruned;
   result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "rra", obs::GlobalMetrics());
-  pool.ExportStats(obs::GlobalMetrics());
   return result;
 }
 

@@ -53,11 +53,9 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
   std::vector<double> nn_dist(candidates,
                               SubsequenceDistance::kInfinity);
   std::vector<size_t> nn_pos(candidates, 0);
-  ThreadPool pool(num_threads);
   {
     GVA_OBS_SPAN("search.brute.pass");
-    pool.ParallelFor(0, candidates, [&](size_t chunk_begin, size_t chunk_end,
-                                        size_t /*chunk*/) {
+    const auto scan = [&](size_t chunk_begin, size_t chunk_end, size_t) {
       GVA_OBS_SPAN("search.brute.chunk");
       for (size_t p = chunk_begin; p < chunk_end; ++p) {
         double best = SubsequenceDistance::kInfinity;
@@ -75,7 +73,8 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
         nn_dist[p] = best;
         nn_pos[p] = best_q;
       }
-    });
+    };
+    ThreadPool::ParallelFor(num_threads, 0, candidates, scan);
   }
 
   // Greedy top-k selection of non-overlapping discords, best first.
@@ -115,7 +114,6 @@ StatusOr<DiscordResult> FindDiscordsBruteForce(std::span<const double> series,
   result.candidates_visited = candidates;
   result.candidates_pruned = 0;
   AccumulateSearchMetrics(result, "brute", obs::GlobalMetrics());
-  pool.ExportStats(obs::GlobalMetrics());
   return result;
 }
 

@@ -39,17 +39,16 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
                                               std::vector<size_t>>& buckets,
                      const std::vector<const std::string*>& word_of,
                      const std::vector<size_t>& inner_random,
-                     const std::vector<char>& excluded, ThreadPool& pool,
+                     const std::vector<char>& excluded, size_t num_threads,
                      obs::BestSoFarLog& trajectory, RoundProgress* progress,
                      DiscordRecord* best) {
   GVA_OBS_SPAN("search.hotsax.round");
   SharedBestDistance shared_best;
-  std::vector<BestCandidate> chunk_best(pool.num_threads());
-  std::vector<RoundProgress> chunk_progress(pool.num_threads());
+  const size_t lanes = ThreadPool::ResolveThreadCount(num_threads);
+  std::vector<BestCandidate> chunk_best(lanes);
+  std::vector<RoundProgress> chunk_progress(lanes);
 
-  pool.ParallelFor(0, outer_order.size(), [&](size_t chunk_begin,
-                                              size_t chunk_end,
-                                              size_t chunk) {
+  const auto scan = [&](size_t chunk_begin, size_t chunk_end, size_t chunk) {
     GVA_OBS_SPAN("search.hotsax.chunk");
     BestCandidate local;
     RoundProgress tally;
@@ -109,7 +108,8 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
     }
     chunk_best[chunk] = local;
     chunk_progress[chunk] = tally;
-  });
+  };
+  ThreadPool::ParallelFor(num_threads, 0, outer_order.size(), scan);
 
   BestCandidate overall;
   for (const BestCandidate& candidate : chunk_best) {
@@ -187,7 +187,6 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   // the sequential between-round code writes it, and the byte vector keeps
   // those reads free of bit-packing proxies.
   std::vector<char> excluded(candidates, 0);
-  ThreadPool pool(options.num_threads);
 
   DiscordResult result;
   obs::BestSoFarLog trajectory;
@@ -195,8 +194,8 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   for (size_t k = 0; k < options.top_k; ++k) {
     DiscordRecord best;
     if (!FindBestDiscord(dist, window, outer_order, buckets, word_of,
-                         inner_random, excluded, pool, trajectory, &progress,
-                         &best)) {
+                         inner_random, excluded, options.num_threads,
+                         trajectory, &progress, &best)) {
       break;
     }
     result.discords.push_back(best);
@@ -214,7 +213,6 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   result.candidates_pruned = progress.pruned;
   result.best_trajectory = trajectory.TakeSorted();
   AccumulateSearchMetrics(result, "hotsax", obs::GlobalMetrics());
-  pool.ExportStats(obs::GlobalMetrics());
   return result;
 }
 

@@ -224,13 +224,14 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
   obs::Counter& cache_hit_counter = metrics.counter("ensemble.cache.hit");
   obs::Counter& cache_miss_counter = metrics.counter("ensemble.cache.miss");
   metrics.counter("ensemble.runs").Add(1);
-
-  ThreadPool pool(options.num_threads);
+  // Lane cap of both phases on the shared pool.
+  const size_t lanes = options.num_threads;
 
   // Phase A (substrate): one RollingStats prefix-sum table for the series,
   // then one SaxZPlane per distinct (window, paa) key, rows computed on the
-  // pool. Alphabet-only-differing configs share a plane — that sharing is
-  // the cache, and its accounting is deterministic by construction.
+  // shared pool. Alphabet-only-differing configs share a plane — that
+  // sharing is the cache, and its accounting is deterministic by
+  // construction.
   std::optional<RollingStats> stats;
   std::map<PlaneKey, SaxZPlane> planes;
   std::map<PlaneKey, Status> plane_errors;
@@ -245,7 +246,7 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
       if (first_for_key) {
         StatusOr<SaxZPlane> plane =
             ComputeSaxZPlane(series, options.SaxFor(configs[idx]), &*stats,
-                             &pool);
+                             lanes);
         if (plane.ok()) {
           planes.emplace(key, std::move(plane).value());
         } else {
@@ -266,8 +267,8 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
   // chunk and ParallelFor's join publishes the writes.
   {
     GVA_OBS_SPAN("ensemble.configs");
-    pool.ParallelFor(
-        0, valid.size(), [&](size_t begin, size_t end, size_t /*chunk*/) {
+    ThreadPool::ParallelFor(
+        lanes, 0, valid.size(), [&](size_t begin, size_t end, size_t) {
           for (size_t v = begin; v < end; ++v) {
             const size_t idx = valid[v];
             EnsembleConfigResult& slot = out.configs[idx];
@@ -341,7 +342,6 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
       FindLowScoreIntervals(out.score, out.max_window, options.anomaly);
 
   metrics.counter("ensemble.configs.used").Add(out.configs_used);
-  pool.ExportStats(metrics, "ensemble.pool");
   return out;
 }
 

@@ -203,7 +203,7 @@ std::string MetricsJson(const std::vector<MetricSample>& samples);
 /// <component>.<stage-or-object>.<measure> with unit suffixes where
 /// meaningful (`.us` wall-clock microseconds, `.count` plain totals) —
 /// e.g. `stage.sax.discretize.us`, `search.rra.calls.abandoned`,
-/// `pool.tasks.executed`.
+/// `threadpool.tasks.executed`.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -5,13 +5,27 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <vector>
 
+#include "util/csv.h"
 #include "util/strings.h"
 
 namespace gva::obs {
+
+namespace {
+
+/// One span edge: a consistent copy of a ring slot, or a capture entry.
+struct EventCopy {
+  const char* name;
+  const char* category;
+  uint64_t ts_us;
+  bool is_begin;
+};
+
+}  // namespace
 
 /// One ring of span-edge slots, owned by exactly one writer thread and
 /// readable by any dumper. Every field of a slot is a relaxed/acquire
@@ -19,7 +33,8 @@ namespace gva::obs {
 /// write is in flight, (id << 1) | is_begin once stable), readers load the
 /// sequence, then the fields, then the sequence again, and skip the slot
 /// on any mismatch. A reader therefore never blocks a recorder and never
-/// observes a torn event.
+/// observes a torn event. The capture vector is separate: plain data under
+/// a mutex, touched only while a capture is active or being written.
 struct FlightRecorder::Ring {
   struct Slot {
     std::atomic<uint64_t> seq{0};
@@ -34,17 +49,16 @@ struct FlightRecorder::Ring {
   /// Events ever written to this ring (the next event's 0-based id).
   std::atomic<uint64_t> head{0};
   Slot slots[kFlightSlotsPerThread];
+
+  std::mutex capture_mu;
+  std::vector<EventCopy> capture;  ///< guarded by capture_mu
 };
 
 namespace {
 
-/// A consistent copy of one slot, taken under the sequence protocol.
-struct EventCopy {
-  const char* name;
-  const char* category;
-  uint64_t ts_us;
-  bool is_begin;
-};
+constexpr const char* kJsonHead =
+    "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+constexpr const char* kJsonTail = "\n]}\n";
 
 /// Scratch for one ring's worth of collection + begin/end matching. The
 /// signal path uses a statically allocated instance (no malloc in a
@@ -251,67 +265,111 @@ FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
   return ring;
 }
 
-void FlightRecorder::RecordBegin(const char* name, const char* category) {
+uint64_t FlightRecorder::RecordBegin(const char* name, const char* category) {
+  return Record(name, category, true);
+}
+
+uint64_t FlightRecorder::RecordEnd(const char* name) {
+  return Record(name, "gva", false);
+}
+
+uint64_t FlightRecorder::Record(const char* name, const char* category,
+                                bool is_begin) {
+  const uint64_t ts = NowMicros();
   Ring* ring = RingForThisThread();
   if (ring == nullptr) {
-    return;
+    return ts;
   }
   const uint64_t h = ring->head.load(std::memory_order_relaxed);
   Ring::Slot& slot = ring->slots[h % kFlightSlotsPerThread];
   slot.seq.store(0, std::memory_order_release);
   slot.name.store(name, std::memory_order_relaxed);
   slot.category.store(category, std::memory_order_relaxed);
-  slot.ts_us.store(NowMicros(), std::memory_order_relaxed);
-  slot.seq.store(((h + 1) << 1) | 1, std::memory_order_release);
+  slot.ts_us.store(ts, std::memory_order_relaxed);
+  slot.seq.store(((h + 1) << 1) | (is_begin ? 1 : 0),
+                 std::memory_order_release);
   ring->head.store(h + 1, std::memory_order_release);
+  if (capturing_.load(std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> lock(ring->capture_mu);
+    ring->capture.push_back(EventCopy{name, category, ts, is_begin});
+  }
+  return ts;
 }
 
-void FlightRecorder::RecordEnd(const char* name) {
-  Ring* ring = RingForThisThread();
-  if (ring == nullptr) {
-    return;
+template <typename Fn>
+void FlightRecorder::ForEachRing(Fn&& fn) const {
+  for (size_t r = 0; r < threads_seen(); ++r) {
+    Ring* ring = rings_[r].load(std::memory_order_acquire);
+    if (ring != nullptr) {  // null: registration in flight on another thread
+      fn(*ring);
+    }
   }
-  const uint64_t h = ring->head.load(std::memory_order_relaxed);
-  Ring::Slot& slot = ring->slots[h % kFlightSlotsPerThread];
-  slot.seq.store(0, std::memory_order_release);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.category.store("gva", std::memory_order_relaxed);
-  slot.ts_us.store(NowMicros(), std::memory_order_relaxed);
-  slot.seq.store((h + 1) << 1, std::memory_order_release);
-  ring->head.store(h + 1, std::memory_order_release);
 }
 
 std::string FlightRecorder::ToJson() const {
   const uint64_t now = NowMicros();
   auto scratch = std::make_unique<DumpScratch>();
-  std::string json = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+  std::string json = kJsonHead;
   StringEmitter emit(json);
-  const size_t rings =
-      std::min(ring_count_.load(std::memory_order_acquire), kMaxFlightThreads);
-  for (size_t r = 0; r < rings; ++r) {
-    const Ring* ring = rings_[r].load(std::memory_order_acquire);
-    if (ring == nullptr) {
-      continue;  // registration in flight on another thread
-    }
-    const size_t n = CollectRing(*ring, scratch->events);
-    EmitMatched(scratch->events, n, ring->tid, now, scratch->stack, emit);
-  }
-  json += "\n]}\n";
+  ForEachRing([&](const Ring& ring) {
+    const size_t n = CollectRing(ring, scratch->events);
+    EmitMatched(scratch->events, n, ring.tid, now, scratch->stack, emit);
+  });
+  json += kJsonTail;
   return json;
 }
 
 Status FlightRecorder::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open flight file '" + path + "'");
+  return WriteStringToFile(path, ToJson());
+}
+
+void FlightRecorder::StartCapture() {
+  capturing_.store(false, std::memory_order_release);
+  ForEachRing([](Ring& ring) {
+    std::lock_guard<std::mutex> lock(ring.capture_mu);
+    ring.capture.clear();
+  });
+  capture_start_us_.store(NowMicros(), std::memory_order_relaxed);
+  capturing_.store(true, std::memory_order_release);
+}
+
+void FlightRecorder::StopCapture() {
+  capture_stop_us_.store(NowMicros(), std::memory_order_relaxed);
+  capturing_.store(false, std::memory_order_release);
+}
+
+std::string FlightRecorder::CaptureJson() const {
+  const uint64_t start = capture_start_us_.load(std::memory_order_relaxed);
+  uint64_t stop = capture_stop_us_.load(std::memory_order_relaxed);
+  if (capturing_.load(std::memory_order_acquire)) {
+    stop = NowMicros();
   }
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::IoError("short write to flight file '" + path + "'");
-  }
-  return Status::Ok();
+  stop = std::max(stop, start);  // a StartCapture racing this call
+  std::string json = kJsonHead;
+  StringEmitter emit(json);
+  std::vector<EventCopy> events;
+  std::vector<uint32_t> stack;
+  ForEachRing([&](Ring& ring) {
+    events.clear();
+    {
+      std::lock_guard<std::mutex> lock(ring.capture_mu);
+      for (const EventCopy& e : ring.capture) {
+        // Edges that raced a Start/Stop call fall outside the window.
+        if (e.ts_us >= start && e.ts_us <= stop) {
+          events.push_back({e.name, e.category, e.ts_us - start, e.is_begin});
+        }
+      }
+    }
+    stack.resize(events.size());
+    EmitMatched(events.data(), events.size(), ring.tid, stop - start,
+                stack.data(), emit);
+  });
+  json += kJsonTail;
+  return json;
+}
+
+Status FlightRecorder::WriteCapture(const std::string& path) const {
+  return WriteStringToFile(path, CaptureJson());
 }
 
 void FlightRecorder::DumpToFd(int fd) const {
@@ -320,19 +378,13 @@ void FlightRecorder::DumpToFd(int fd) const {
   }
   const uint64_t now = NowMicros();
   FdEmitter emit(fd);
-  emit.Raw("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-  const size_t rings =
-      std::min(ring_count_.load(std::memory_order_acquire), kMaxFlightThreads);
-  for (size_t r = 0; r < rings; ++r) {
-    const Ring* ring = rings_[r].load(std::memory_order_acquire);
-    if (ring == nullptr) {
-      continue;
-    }
-    const size_t n = CollectRing(*ring, g_signal_scratch.events);
-    EmitMatched(g_signal_scratch.events, n, ring->tid, now,
+  emit.Raw(kJsonHead);
+  ForEachRing([&](const Ring& ring) {
+    const size_t n = CollectRing(ring, g_signal_scratch.events);
+    EmitMatched(g_signal_scratch.events, n, ring.tid, now,
                 g_signal_scratch.stack, emit);
-  }
-  emit.Raw("\n]}\n");
+  });
+  emit.Raw(kJsonTail);
   g_signal_dump_lock.clear(std::memory_order_release);
 }
 
@@ -343,13 +395,9 @@ size_t FlightRecorder::threads_seen() const {
 
 uint64_t FlightRecorder::events_recorded() const {
   uint64_t total = 0;
-  const size_t rings = threads_seen();
-  for (size_t r = 0; r < rings; ++r) {
-    const Ring* ring = rings_[r].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      total += ring->head.load(std::memory_order_relaxed);
-    }
-  }
+  ForEachRing([&total](const Ring& ring) {
+    total += ring.head.load(std::memory_order_relaxed);
+  });
   return total;
 }
 

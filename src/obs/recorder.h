@@ -25,12 +25,18 @@ inline constexpr size_t kFlightSlotsPerThread = kFlightBytesPerThread / 32;
 /// memory is kMaxFlightThreads * kFlightBytesPerThread = 16 MiB.
 inline constexpr size_t kMaxFlightThreads = 256;
 
-/// Always-on span flight recorder: every ScopedSpan writes begin/end
-/// events into a lock-free per-thread ring buffer, even when the tracer
-/// (--trace) is off. The ring holds the most recent events only, so the
-/// steady-state cost is a bounded memory footprint and a few relaxed
-/// atomic stores plus one clock read per span edge — no locks, no
-/// allocation after a thread's first span.
+/// Always-on span flight recorder and the one span store: every ScopedSpan
+/// writes begin/end events into a lock-free per-thread ring buffer. The
+/// ring holds the most recent events only, so the steady-state cost is a
+/// bounded memory footprint and a few relaxed atomic stores plus one clock
+/// read per span edge — no locks, no allocation after a thread's first
+/// span.
+///
+/// A capture (StartCapture .. StopCapture, what --trace drives) keeps
+/// every edge of its window, however long: while one is active each ring
+/// also appends its edges to an unbounded per-ring vector under a per-ring
+/// mutex. Only that ring's writer and the capture's own calls contend for
+/// it, and the signal path never touches it.
 ///
 /// Dumps can happen at any moment (the /flightz telemetry endpoint, or a
 /// fatal-signal handler): readers walk the rings with a per-slot sequence
@@ -55,12 +61,14 @@ class FlightRecorder {
   /// The process-wide recorder every ScopedSpan feeds.
   static FlightRecorder& Global();
 
-  /// Appends a span-begin event for the calling thread. `name` and
-  /// `category` must be string literals (slots keep the pointer).
-  void RecordBegin(const char* name, const char* category);
+  /// Appends a span-begin event for the calling thread and returns its
+  /// timestamp (NowMicros()). `name` and `category` must be string literals
+  /// (slots keep the pointer).
+  uint64_t RecordBegin(const char* name, const char* category);
 
-  /// Appends the matching span-end event for the calling thread.
-  void RecordEnd(const char* name);
+  /// Appends the matching span-end event for the calling thread and returns
+  /// its timestamp.
+  uint64_t RecordEnd(const char* name);
 
   /// Microseconds since the recorder's origin (process start).
   uint64_t NowMicros() const;
@@ -72,6 +80,23 @@ class FlightRecorder {
 
   /// ToJson() to a file. Returns the first I/O error.
   Status WriteJson(const std::string& path) const;
+
+  /// Starts a capture, dropping the previous one's edges. Timestamps in
+  /// the capture are relative to this call.
+  void StartCapture();
+
+  /// Ends the capture: later edges are not kept. Spans still open here get
+  /// their end synthesized at this moment when the capture is written.
+  void StopCapture();
+
+  /// Chrome trace-event JSON of every span the current (or last) capture
+  /// saw begin, one track per ring (tid = ring index). Spans open at write
+  /// time end at now (or at StopCapture); spans that began before
+  /// StartCapture are absent.
+  std::string CaptureJson() const;
+
+  /// CaptureJson() to a file. Returns the first I/O error.
+  Status WriteCapture(const std::string& path) const;
 
   /// Async-signal-safe dump of the same JSON document to `fd` via
   /// write(2). Intended for fatal-signal handlers; callable from normal
@@ -90,9 +115,23 @@ class FlightRecorder {
 
   Ring* RingForThisThread();
 
+  /// Writes one span edge to the calling thread's ring (and to its capture
+  /// while one is active); returns the edge's timestamp.
+  uint64_t Record(const char* name, const char* category, bool is_begin);
+
+  /// Calls `fn(Ring&)` for every registered ring, in tid order.
+  /// Allocation-free, so the signal path may use it.
+  template <typename Fn>
+  void ForEachRing(Fn&& fn) const;
+
   std::chrono::steady_clock::time_point origin_;
   std::atomic<size_t> ring_count_{0};
   std::atomic<Ring*> rings_[kMaxFlightThreads];
+
+  std::atomic<bool> capturing_{false};
+  /// NowMicros() at StartCapture / StopCapture.
+  std::atomic<uint64_t> capture_start_us_{0};
+  std::atomic<uint64_t> capture_stop_us_{0};
 };
 
 /// Installs SIGSEGV/SIGABRT/SIGBUS handlers that write the global

@@ -2,11 +2,14 @@
 
 #include <cstdio>
 
+#include "obs/recorder.h"
+#include "util/csv.h"
+
 namespace gva::obs {
 
 ObsSession::ObsSession(Options options) : options_(std::move(options)) {
   if (tracing()) {
-    GlobalTracer().Enable();
+    FlightRecorder::Global().StartCapture();
   }
   if (metrics()) {
     baseline_ = GlobalMetrics().Snapshot();
@@ -15,13 +18,15 @@ ObsSession::ObsSession(Options options) : options_(std::move(options)) {
 }
 
 ObsSession::~ObsSession() {
-  const Status status = Flush();
-  if (!status.ok()) {
-    std::fprintf(stderr, "obs export failed: %s\n",
-                 status.ToString().c_str());
+  if (!flushed_) {
+    const Status status = Flush();
+    if (!status.ok()) {
+      std::fprintf(stderr, "obs export failed: %s\n",
+                   status.ToString().c_str());
+    }
   }
   if (tracing()) {
-    GlobalTracer().Disable();
+    FlightRecorder::Global().StopCapture();
   }
   if (metrics()) {
     SetStageTimingEnabled(false);
@@ -37,29 +42,22 @@ std::vector<MetricSample> ObsSession::MetricsSnapshot() const {
 
 Status ObsSession::Flush() {
   Status first = Status::Ok();
-  if (tracing()) {
-    const Status status = GlobalTracer().WriteChromeTrace(options_.trace_path);
-    if (!status.ok() && first.ok()) {
-      first = status;
-    } else if (status.ok() && options_.announce && !flushed_) {
-      std::printf("trace written: %s\n", options_.trace_path.c_str());
+  const auto write = [&](const std::string& path, const char* what,
+                         const std::string& contents) {
+    const Status status = WriteStringToFile(path, contents);
+    if (!status.ok()) {
+      if (first.ok()) {
+        first = status;
+      }
+    } else if (options_.announce && !flushed_) {
+      std::printf("%s written: %s\n", what, path.c_str());
     }
+  };
+  if (tracing()) {
+    write(options_.trace_path, "trace", FlightRecorder::Global().CaptureJson());
   }
   if (metrics()) {
-    const std::string json = MetricsJson(MetricsSnapshot());
-    std::FILE* f = std::fopen(options_.metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      if (first.ok()) {
-        first = Status::IoError("cannot open metrics file '" +
-                                options_.metrics_path + "'");
-      }
-    } else {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      if (options_.announce && !flushed_) {
-        std::printf("metrics written: %s\n", options_.metrics_path.c_str());
-      }
-    }
+    write(options_.metrics_path, "metrics", MetricsJson(MetricsSnapshot()));
   }
   flushed_ = true;
   return first;

@@ -6,12 +6,13 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/status.h"
 
 namespace gva::obs {
 
-/// RAII capture window for the process-wide observability surfaces: turns
-/// on the global tracer and/or stage-time metrics on construction and, on
-/// destruction, writes the requested export files. The CLI and the bench
+/// RAII capture window for the process-wide observability surfaces: starts
+/// a flight-recorder capture and/or stage-time metrics on construction and,
+/// on destruction, writes the requested export files. The CLI and the bench
 /// binaries create one of these from their --trace/--metrics flags; library
 /// code never does (it only hosts instrumentation points).
 ///
@@ -22,7 +23,7 @@ namespace gva::obs {
 class ObsSession {
  public:
   struct Options {
-    /// Chrome trace-event JSON output path; empty disables tracing.
+    /// Chrome trace-event JSON output path; empty disables the capture.
     std::string trace_path;
     /// Metrics JSON output path; empty disables the metrics export (stage
     /// timing is enabled whenever this is set).
@@ -48,8 +49,9 @@ class ObsSession {
   /// metrics.
   std::vector<MetricSample> MetricsSnapshot() const;
 
-  /// Writes the export files now (also called by the destructor; calling
-  /// twice overwrites with fresher data). Returns the first error.
+  /// Writes the export files now, checking every write and close. Returns
+  /// the first error. The destructor flushes only if this was never called,
+  /// so a caller that wants to act on a failed export calls it explicitly.
   Status Flush();
 
  private:

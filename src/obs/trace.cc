@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include <atomic>
+#include <string>
 
 #include "obs/recorder.h"
-#include "util/strings.h"
 
 namespace gva::obs {
 
@@ -13,139 +13,6 @@ std::atomic<bool> g_stage_timing{false};
 
 }  // namespace
 
-Tracer::Tracer() : origin_(std::chrono::steady_clock::now()) {}
-
-void Tracer::Enable() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    events_.clear();
-    tids_.clear();
-    open_.clear();
-    origin_ = std::chrono::steady_clock::now();
-  }
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void Tracer::Disable() { enabled_.store(false, std::memory_order_relaxed); }
-
-uint64_t Tracer::NowMicros() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - origin_)
-          .count());
-}
-
-int Tracer::TidOfCurrentThread() {
-  const std::thread::id id = std::this_thread::get_id();
-  auto it = tids_.find(id);
-  if (it == tids_.end()) {
-    it = tids_.emplace(id, static_cast<int>(tids_.size())).first;
-  }
-  return it->second;
-}
-
-void Tracer::RecordComplete(const char* name, const char* category,
-                            uint64_t ts_us, uint64_t dur_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(
-      TraceEvent{name, category, ts_us, dur_us, TidOfCurrentThread()});
-}
-
-void Tracer::BeginOpen(const char* name, const char* category,
-                       uint64_t ts_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TidOfCurrentThread();  // register the tid while we can (calling thread)
-  open_[std::this_thread::get_id()].push_back(OpenSpan{name, category, ts_us});
-}
-
-void Tracer::CompleteOpen(uint64_t end_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = open_.find(std::this_thread::get_id());
-  if (it == open_.end() || it->second.empty()) {
-    return;
-  }
-  const OpenSpan span = it->second.back();
-  it->second.pop_back();
-  if (!enabled_.load(std::memory_order_relaxed)) {
-    return;  // capture ended while the span was open
-  }
-  const uint64_t dur = end_us >= span.ts_us ? end_us - span.ts_us : 0;
-  events_.push_back(TraceEvent{span.name, span.category, span.ts_us, dur,
-                               TidOfCurrentThread()});
-}
-
-size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-size_t Tracer::open_span_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [tid, stack] : open_) {
-    n += stack.size();
-  }
-  return n;
-}
-
-std::string Tracer::ToJson() const {
-  const uint64_t now_us = NowMicros();
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string json = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  auto emit = [&json, &first](const char* name, const char* category, int tid,
-                              uint64_t ts, uint64_t dur) {
-    json += StrFormat(
-        "%s  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"pid\": 1, "
-        "\"tid\": %d, \"ts\": %llu, \"dur\": %llu}",
-        first ? "" : ",\n", name, category, tid,
-        static_cast<unsigned long long>(ts),
-        static_cast<unsigned long long>(dur));
-    first = false;
-  };
-  for (const TraceEvent& e : events_) {
-    emit(e.name, e.category, e.tid, e.ts_us, e.dur_us);
-  }
-  // Spans still open at serialization time: synthesize their end at "now"
-  // so a mid-run dump (telemetry scrape, crash) is valid, parseable JSON.
-  for (const auto& [thread_id, stack] : open_) {
-    const auto tid_it = tids_.find(thread_id);
-    const int tid = tid_it == tids_.end() ? 0 : tid_it->second;
-    for (const OpenSpan& span : stack) {
-      emit(span.name, span.category, tid, span.ts_us,
-           now_us >= span.ts_us ? now_us - span.ts_us : 0);
-    }
-  }
-  json += "\n]}\n";
-  return json;
-}
-
-Status Tracer::WriteChromeTrace(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open trace file '" + path + "'");
-  }
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::IoError("short write to trace file '" + path + "'");
-  }
-  return Status::Ok();
-}
-
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  tids_.clear();
-  open_.clear();
-}
-
-Tracer& GlobalTracer() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
-
 bool StageTimingEnabled() {
   return g_stage_timing.load(std::memory_order_relaxed);
 }
@@ -154,37 +21,22 @@ void SetStageTimingEnabled(bool enabled) {
   g_stage_timing.store(enabled, std::memory_order_relaxed);
 }
 
-ScopedSpan::ScopedSpan(const char* name, const char* category)
-    : name_(name), category_(category) {
+ScopedSpan::ScopedSpan(const char* name, const char* category) : name_(name) {
   if constexpr (kEnabled) {
-    FlightRecorder::Global().RecordBegin(name, category);
-  }
-  tracing_ = GlobalTracer().enabled();
-  timing_ = StageTimingEnabled();
-  if (tracing_ || timing_) {
-    start_us_ = GlobalTracer().NowMicros();
-  }
-  if (tracing_) {
-    GlobalTracer().BeginOpen(name_, category_, start_us_);
+    start_us_ = FlightRecorder::Global().RecordBegin(name, category);
+    timing_ = StageTimingEnabled();
   }
 }
 
 ScopedSpan::~ScopedSpan() {
   if constexpr (kEnabled) {
-    FlightRecorder::Global().RecordEnd(name_);
-  }
-  if (!tracing_ && !timing_) {
-    return;
-  }
-  const uint64_t end_us = GlobalTracer().NowMicros();
-  const uint64_t dur = end_us >= start_us_ ? end_us - start_us_ : 0;
-  if (tracing_) {
-    GlobalTracer().CompleteOpen(end_us);
-  }
-  if (timing_) {
-    MetricsRegistry& metrics = GlobalMetrics();
-    metrics.counter(std::string("stage.") + name_ + ".us").Add(dur);
-    metrics.counter(std::string("stage.") + name_ + ".count").Add(1);
+    const uint64_t end_us = FlightRecorder::Global().RecordEnd(name_);
+    if (timing_) {
+      const uint64_t dur = end_us - start_us_;
+      MetricsRegistry& metrics = GlobalMetrics();
+      metrics.counter(std::string("stage.") + name_ + ".us").Add(dur);
+      metrics.counter(std::string("stage.") + name_ + ".count").Add(1);
+    }
   }
 }
 

@@ -1,115 +1,26 @@
 #ifndef GVA_OBS_TRACE_H_
 #define GVA_OBS_TRACE_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "util/status.h"
 
 namespace gva::obs {
-
-/// One completed span in Chrome trace_event "complete" form ("ph": "X").
-struct TraceEvent {
-  const char* name;  ///< static string (span sites use literals)
-  const char* category;
-  uint64_t ts_us;   ///< start, microseconds since the tracer's origin
-  uint64_t dur_us;  ///< duration in microseconds
-  int tid;          ///< dense per-tracer thread index (0 = first seen)
-};
-
-/// Collects spans and serializes them as Chrome trace-event JSON, loadable
-/// in chrome://tracing and Perfetto. Disabled by default: ScopedSpan checks
-/// one relaxed atomic and does nothing else, so idle tracing costs a load
-/// per span site. While enabled, each completed span takes a short mutex
-/// hold; spans are stage/round/chunk-granular (never per distance call), so
-/// contention is negligible next to the work they bracket.
-///
-/// Nesting requires no bookkeeping: the viewers reconstruct the hierarchy
-/// from containment of [ts, ts+dur) intervals within a thread track, so
-/// nested ScopedSpans on one thread render as nested slices.
-class Tracer {
- public:
-  Tracer();
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// Starts a capture: clears prior events and re-anchors the origin so
-  /// timestamps start near zero.
-  void Enable();
-  void Disable();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Microseconds since the capture origin.
-  uint64_t NowMicros() const;
-
-  /// Appends one completed span for the calling thread.
-  void RecordComplete(const char* name, const char* category, uint64_t ts_us,
-                      uint64_t dur_us);
-
-  /// Marks a span as begun (not yet ended) on the calling thread. A later
-  /// CompleteOpen pops it — LIFO, since RAII spans nest. Spans still open
-  /// when ToJson() runs are serialized with their end synthesized at now,
-  /// so a dump taken mid-span is valid JSON instead of losing the span.
-  void BeginOpen(const char* name, const char* category, uint64_t ts_us);
-
-  /// Pops the calling thread's innermost open span and (if the tracer is
-  /// still enabled) records it as complete, ending at `end_us`. No-op when
-  /// the thread has no open span (e.g. Enable() raced the span's start).
-  void CompleteOpen(uint64_t end_us);
-
-  size_t event_count() const;
-
-  /// Spans begun but not yet completed, across all threads.
-  size_t open_span_count() const;
-
-  /// {"traceEvents": [...], "displayTimeUnit": "ms"} — the Chrome
-  /// trace-event JSON object form.
-  std::string ToJson() const;
-  Status WriteChromeTrace(const std::string& path) const;
-
-  void Clear();
-
- private:
-  struct OpenSpan {
-    const char* name;
-    const char* category;
-    uint64_t ts_us;
-  };
-
-  int TidOfCurrentThread();
-
-  std::atomic<bool> enabled_{false};
-  std::chrono::steady_clock::time_point origin_;
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-  std::map<std::thread::id, int> tids_;
-  /// Per-thread stacks of spans whose destructor has not run yet.
-  std::map<std::thread::id, std::vector<OpenSpan>> open_;
-};
-
-/// The process-wide tracer every GVA_OBS_SPAN site records into.
-Tracer& GlobalTracer();
 
 /// Process-wide switch for stage wall-time metrics: when on, ScopedSpan
 /// also accumulates its duration into GlobalMetrics() counters
 /// `stage.<name>.us` / `stage.<name>.count`. Enabled by ObsSession when a
 /// metrics export was requested; off by default so plain library use never
-/// touches the clock.
+/// touches the registry from a span.
 bool StageTimingEnabled();
 void SetStageTimingEnabled(bool enabled);
 
-/// RAII span: captures the start time if the global tracer (or stage
-/// timing) is active when constructed, and records on destruction. `name`
-/// and `category` must be string literals — the tracer's capture and the
-/// always-on flight recorder (obs/recorder.h), which every span also feeds
-/// in obs-enabled builds, both keep the pointers.
+/// RAII span: records its begin and end edges into the flight recorder
+/// (obs/recorder.h), the one span store, which also feeds any active
+/// capture (--trace). With stage timing on, the duration between the two
+/// edges' timestamps is added to the stage metrics as well. `name` and
+/// `category` must be string literals — the recorder keeps the pointers.
+/// Does nothing in -DGVA_OBS=OFF builds.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, const char* category = "gva");
@@ -120,15 +31,13 @@ class ScopedSpan {
 
  private:
   const char* name_;
-  const char* category_;
   uint64_t start_us_ = 0;
-  bool tracing_ = false;
   bool timing_ = false;
 };
 
 }  // namespace gva::obs
 
-/// Span convenience macro: one relaxed load when observability is idle;
+/// Span convenience macro: two flight-recorder edges per span;
 /// compiles to nothing when the library is built with -DGVA_OBS=OFF.
 #define GVA_OBS_CONCAT_INNER(a, b) a##b
 #define GVA_OBS_CONCAT(a, b) GVA_OBS_CONCAT_INNER(a, b)

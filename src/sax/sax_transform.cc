@@ -445,7 +445,7 @@ StatusOr<SaxRecords> DiscretizeAllWindows(std::span<const double> series,
 StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
                                      const SaxOptions& opts,
                                      const RollingStats* shared_stats,
-                                     ThreadPool* pool) {
+                                     size_t num_threads) {
   GVA_RETURN_IF_ERROR(opts.Validate());
   if (series.size() < opts.window) {
     return Status::InvalidArgument(
@@ -478,13 +478,9 @@ StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
       }
     }
   };
-  if (pool != nullptr) {
-    // Rows are independent pure functions of the prefix sums, so the plane
-    // is bit-identical for every thread count.
-    pool->ParallelFor(0, plane.positions, rows);
-  } else {
-    rows(0, plane.positions, 0);
-  }
+  // Rows are independent pure functions of the prefix sums, so the plane is
+  // bit-identical for every thread count.
+  ThreadPool::ParallelFor(num_threads, 0, plane.positions, rows);
   for (const uint8_t f : plane.fallback) {
     plane.fallback_rows += f;
   }

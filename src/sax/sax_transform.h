@@ -15,8 +15,6 @@
 
 namespace gva {
 
-class ThreadPool;
-
 namespace backend {
 struct KernelBackend;
 }  // namespace backend
@@ -114,14 +112,14 @@ struct SaxZPlane {
 /// Computes the z-plane of `series` under `opts` (the alphabet_size field
 /// is validated but otherwise unused). `shared_stats`, when non-null, must
 /// be a RollingStats built over exactly `series`; passing it skips the
-/// per-call prefix-sum build so many configs can share one table. `pool`,
-/// when non-null, parallelizes the row loop (rows are independent pure
-/// functions of the prefix sums, so the plane is bit-identical for every
-/// thread count).
+/// per-call prefix-sum build so many configs can share one table.
+/// `num_threads` caps the lanes of the row loop on the shared pool (rows
+/// are independent pure functions of the prefix sums, so the plane is
+/// bit-identical for every thread count).
 StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
                                      const SaxOptions& opts,
                                      const RollingStats* shared_stats = nullptr,
-                                     ThreadPool* pool = nullptr);
+                                     size_t num_threads = 1);
 
 /// Sliding-window discretization that reads PAA z values from a
 /// precomputed plane instead of recomputing them per window. Letter mapping

@@ -1,6 +1,8 @@
 #include "util/csv.h"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -21,7 +23,24 @@ StatusOr<double> ParseDouble(std::string_view field) {
     return Status::InvalidArgument("malformed numeric field: '" + buffer +
                                    "'");
   }
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("non-finite numeric field: '" + buffer +
+                                   "'");
+  }
   return value;
+}
+
+Status WriteStringToFile(const std::string& path, std::string_view contents) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::IoError("cannot open '" + path + "' for writing");
+  }
+  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  const bool closed = std::fclose(f) == 0;
+  if (written != contents.size() || !closed) {
+    return Status::IoError("write to '" + path + "' failed");
+  }
+  return Status::Ok();
 }
 
 StatusOr<std::vector<double>> ReadCsvColumn(const std::string& path,

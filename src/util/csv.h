@@ -31,8 +31,14 @@ Status WriteCsvColumns(const std::string& path,
                        const std::vector<std::string>& names,
                        const std::vector<std::vector<double>>& columns);
 
-/// Parses one numeric field; empty input is invalid.
+/// Parses one numeric field; empty input and non-finite values (nan, inf,
+/// infinity) are invalid.
 StatusOr<double> ParseDouble(std::string_view field);
+
+/// Writes `contents` to `path`, replacing the file. Fails with IoError when
+/// the file cannot be opened, the write is short, or closing it fails (a
+/// buffered write to a full device only fails at close).
+Status WriteStringToFile(const std::string& path, std::string_view contents);
 
 }  // namespace gva
 

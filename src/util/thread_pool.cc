@@ -1,11 +1,35 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
-#include <string>
 
 namespace gva {
+
+struct ThreadPool::Batch {
+  const std::function<void(size_t, size_t, size_t)>& body;
+  size_t begin;
+  size_t base;   // chunk length before the remainder is spread
+  size_t extra;  // the first `extra` chunks get one more index
+  /// Queued chunks not yet finished; guarded by the pool's mu_.
+  size_t remaining;
+  std::exception_ptr first_error;
+  std::condition_variable done;
+
+  size_t ChunkBegin(size_t c) const {
+    return begin + c * base + std::min(c, extra);
+  }
+
+  /// Runs chunk `c`, returning what it threw (never unwinds: a worker loop
+  /// must keep draining, and queued chunks reference the caller's frame).
+  std::exception_ptr RunChunk(size_t c) const {
+    try {
+      body(ChunkBegin(c), ChunkBegin(c + 1), c);
+    } catch (...) {
+      return std::current_exception();
+    }
+    return nullptr;
+  }
+};
 
 size_t ThreadPool::ResolveThreadCount(size_t requested) {
   if (requested != 0) {
@@ -15,198 +39,111 @@ size_t ThreadPool::ResolveThreadCount(size_t requested) {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : global_queue_depth_(
-          &obs::GlobalMetrics().gauge("threadpool.queue.depth")),
-      global_tasks_submitted_(
-          &obs::GlobalMetrics().counter("threadpool.tasks.submitted")),
-      global_tasks_executed_(
-          &obs::GlobalMetrics().counter("threadpool.tasks.executed")),
-      global_pools_live_(&obs::GlobalMetrics().gauge("threadpool.pools.live")) {
-  global_pools_live_->Add(1);
-  const size_t lanes = ResolveThreadCount(num_threads);
-  workers_.reserve(lanes - 1);
-  for (size_t i = 0; i + 1 < lanes; ++i) {
+ThreadPool::ThreadPool()
+    : queue_depth_(obs::GlobalMetrics().gauge("threadpool.queue.depth")),
+      tasks_submitted_(
+          obs::GlobalMetrics().counter("threadpool.tasks.submitted")),
+      tasks_executed_(
+          obs::GlobalMetrics().counter("threadpool.tasks.executed")),
+      tasks_stolen_(obs::GlobalMetrics().counter("threadpool.tasks.stolen")) {
+  obs::GlobalMetrics().gauge("threadpool.pools.live").Add(1);
+}
+
+ThreadPool& ThreadPool::Shared() {
+  static ThreadPool* pool = new ThreadPool();
+  return *pool;
+}
+
+size_t ThreadPool::num_workers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return workers_.size();
+}
+
+void ThreadPool::GrowTo(size_t lanes) {
+  const size_t target = std::min(lanes, ResolveThreadCount(0)) - 1;
+  while (workers_.size() < target) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-  global_pools_live_->Add(-1);
-}
-
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stop_ set and nothing left to run
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      global_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-    }
-    RunTimed(task);
-    tasks_executed_.Add();
-    global_tasks_executed_->Add();
+    wake_.wait(lock, [this] { return !queue_.empty(); });
+    const Task task = queue_.front();
+    queue_.pop_front();
+    RunQueued(lock, task);
   }
 }
 
-std::function<void()> ThreadPool::TryPop() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) {
-    return nullptr;
+void ThreadPool::RunQueued(std::unique_lock<std::mutex>& lock, Task task) {
+  queue_depth_.Set(static_cast<int64_t>(queue_.size()));
+  lock.unlock();
+  const std::exception_ptr error = task.batch->RunChunk(task.chunk);
+  tasks_executed_.Add();
+  lock.lock();
+  Batch& batch = *task.batch;
+  if (error != nullptr && batch.first_error == nullptr) {
+    batch.first_error = error;
   }
-  std::function<void()> task = std::move(queue_.front());
-  queue_.pop_front();
-  global_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  return task;
-}
-
-void ThreadPool::RunTimed(const std::function<void()>& task) {
-  if constexpr (obs::kEnabled) {
-    const auto start = std::chrono::steady_clock::now();
-    task();
-    task_us_.Add(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-  } else {
-    task();
+  // Notifying under mu_ keeps `batch` alive: its owner re-checks
+  // `remaining` under mu_ before its frame can go away.
+  if (--batch.remaining == 0) {
+    batch.done.notify_one();
   }
 }
 
 void ThreadPool::ParallelFor(
-    size_t begin, size_t end,
+    size_t num_threads, size_t begin, size_t end,
     const std::function<void(size_t, size_t, size_t)>& body) {
   if (begin >= end) {
     return;
   }
-  const size_t n = end - begin;
-  const size_t chunks = std::min(n, num_threads());
+  const size_t chunks = std::min(end - begin, ResolveThreadCount(num_threads));
   if (chunks == 1) {
-    tasks_inline_.Add();
     body(begin, end, 0);  // single lane: exceptions propagate directly
     return;
   }
+  Shared().Run(chunks, begin, end, body);
+}
 
-  // Contiguous chunks, remainder spread over the leading chunks.
-  const size_t base = n / chunks;
-  const size_t extra = n % chunks;
-  auto chunk_begin = [&](size_t c) {
-    return begin + c * base + std::min(c, extra);
-  };
-
-  // Per-ParallelFor completion state. Chunk tasks catch everything their
-  // body throws: the worker loop must never unwind (that would strand the
-  // queue and turn shutdown into std::terminate), so the first exception is
-  // parked here and rethrown on the calling thread after the join.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t remaining = chunks - 1;
-  std::exception_ptr first_error;
-  auto finish_chunk = [&](std::exception_ptr error) {
-    std::lock_guard<std::mutex> done_lock(done_mu);
-    if (error != nullptr && first_error == nullptr) {
-      first_error = error;
-    }
-    if (--remaining == 0) {
-      done_cv.notify_one();
-    }
-  };
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t c = 1; c < chunks; ++c) {
-      queue_.emplace_back([&, c] {
-        std::exception_ptr error;
-        try {
-          body(chunk_begin(c), chunk_begin(c + 1), c);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        finish_chunk(error);
-      });
-    }
-    tasks_submitted_.Add(chunks - 1);
-    global_tasks_submitted_->Add(chunks - 1);
-    max_queue_depth_.RaiseTo(static_cast<int64_t>(queue_.size()));
-    global_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+void ThreadPool::Run(size_t chunks, size_t begin, size_t end,
+                     const std::function<void(size_t, size_t, size_t)>& body) {
+  const size_t n = end - begin;
+  Batch batch{body, begin, n / chunks, n % chunks, chunks - 1, nullptr, {}};
+  std::unique_lock<std::mutex> lock(mu_);
+  GrowTo(chunks);
+  for (size_t c = 1; c < chunks; ++c) {
+    queue_.push_back(Task{&batch, c});
   }
+  tasks_submitted_.Add(chunks - 1);
+  queue_depth_.Set(static_cast<int64_t>(queue_.size()));
+  lock.unlock();
   wake_.notify_all();
 
-  // The caller's lane: its own chunk first. Its exception must not skip the
-  // join below — the queued chunks still reference this frame's state.
-  std::exception_ptr caller_error;
-  tasks_inline_.Add();
-  try {
-    body(chunk_begin(0), chunk_begin(1), 0);
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
-
-  // Instead of idle-blocking on the join, the caller steals queued tasks
-  // and runs them itself. With chunks == lanes the queue is normally empty
-  // by now, but if a worker was descheduled (or the pool is shared), the
-  // steal keeps the caller productive and shortens the tail.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> done_lock(done_mu);
-      if (remaining == 0) {
-        break;
-      }
-    }
-    if (std::function<void()> task = TryPop()) {
-      RunTimed(task);
-      tasks_stolen_.Add();
-      global_tasks_executed_->Add();  // a queued task ran, whoever ran it
+  // The caller's lane: its own chunk first, then whichever of its chunks
+  // no worker has picked up yet, so a busy pool (other callers, fewer
+  // workers than lanes) delays this call by at most the chunks in flight.
+  const std::exception_ptr caller_error = batch.RunChunk(0);
+  const auto mine = [&batch](const Task& t) { return t.batch == &batch; };
+  lock.lock();
+  while (batch.remaining > 0) {
+    const auto own = std::find_if(queue_.begin(), queue_.end(), mine);
+    if (own == queue_.end()) {
+      batch.done.wait(lock);
       continue;
     }
-    std::unique_lock<std::mutex> done_lock(done_mu);
-    done_cv.wait(done_lock, [&] { return remaining == 0; });
-    break;
+    const Task task = *own;
+    queue_.erase(own);
+    tasks_stolen_.Add();
+    RunQueued(lock, task);
   }
-
   if (caller_error != nullptr) {
     std::rethrow_exception(caller_error);
   }
-  std::lock_guard<std::mutex> done_lock(done_mu);
-  if (first_error != nullptr) {
-    std::rethrow_exception(first_error);
+  if (batch.first_error != nullptr) {
+    std::rethrow_exception(batch.first_error);
   }
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.tasks_submitted = tasks_submitted_.value();
-  s.tasks_executed = tasks_executed_.value();
-  s.tasks_stolen = tasks_stolen_.value();
-  s.tasks_inline = tasks_inline_.value();
-  s.max_queue_depth = static_cast<uint64_t>(max_queue_depth_.value());
-  s.task_us = task_us_.value();
-  return s;
-}
-
-void ThreadPool::ExportStats(obs::MetricsRegistry& registry,
-                             std::string_view prefix) const {
-  const Stats s = stats();
-  const std::string p(prefix);
-  registry.counter(p + ".tasks.submitted").Add(s.tasks_submitted);
-  registry.counter(p + ".tasks.executed").Add(s.tasks_executed);
-  registry.counter(p + ".tasks.stolen").Add(s.tasks_stolen);
-  registry.counter(p + ".tasks.inline").Add(s.tasks_inline);
-  registry.gauge(p + ".queue.max_depth")
-      .RaiseTo(static_cast<int64_t>(s.max_queue_depth));
-  registry.counter(p + ".tasks.us").Add(s.task_us);
 }
 
 }  // namespace gva

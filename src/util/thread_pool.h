@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -14,79 +13,55 @@
 
 namespace gva {
 
-/// Fixed-size worker pool for the parallel discord searches. A pool of
-/// `num_threads` provides `num_threads` lanes of concurrency: it spawns
-/// `num_threads - 1` workers and the calling thread contributes the last
-/// lane inside ParallelFor, so ThreadPool(1) degenerates to plain inline
-/// execution with no threads, no locks taken on the hot path, and
-/// bit-identical behaviour to a hand-written loop.
+/// The one process-wide executor behind every parallel loop (the discord
+/// searches, the ensemble, the z-plane rows). Callers never own a pool:
+/// they pass their lane cap (`num_threads`) to ParallelFor, which splits the
+/// range into min(n, lanes) chunks, queues all but the first on the shared
+/// pool and runs chunk 0 on the calling thread. A one-lane call runs inline
+/// and never creates the pool.
 ///
-/// The pool is reused across the rounds of a top-k search; workers park on a
-/// condition variable between rounds.
+/// Workers start on demand, up to the widest lane count any call has asked
+/// for, and never beyond ResolveThreadCount(0) lanes (the caller counts as
+/// one), so a long-lived process holds at most hardware-concurrency - 1
+/// workers however many searches it runs. They park on a condition
+/// variable between calls and are never joined (the pool is a leaked
+/// singleton, like obs::FlightRecorder::Global()).
 ///
 /// Exception safety: a chunk body that throws does not tear down the pool.
-/// The exception is caught inside the task wrapper (so the worker loop
-/// keeps draining and destruction joins deterministically), and the first
-/// one caught is rethrown on the calling thread after every chunk of that
-/// ParallelFor has finished. The pool remains usable afterwards.
+/// The exception is caught inside the chunk, and the first one caught is
+/// rethrown on the calling thread after every chunk of that ParallelFor has
+/// finished.
 class ThreadPool {
  public:
-  /// Lifetime observability counters, readable at any time (relaxed
-  /// atomics; totals are exact once the pool is idle).
-  struct Stats {
-    /// Chunk tasks handed to the queue by ParallelFor (excludes the chunk
-    /// the caller runs inline).
-    uint64_t tasks_submitted = 0;
-    /// Queued tasks executed by worker threads.
-    uint64_t tasks_executed = 0;
-    /// Queued tasks the calling thread stole and ran while waiting for its
-    /// ParallelFor to drain (work that would otherwise idle-block it).
-    uint64_t tasks_stolen = 0;
-    /// Chunks the caller ran inline (its own lane's chunk).
-    uint64_t tasks_inline = 0;
-    /// High-water mark of the task queue length.
-    uint64_t max_queue_depth = 0;
-    /// Total wall-clock microseconds spent inside queued tasks (worker +
-    /// stolen), for mean task latency: task_us / (executed + stolen).
-    uint64_t task_us = 0;
-  };
-
-  /// `num_threads` == 0 means ResolveThreadCount(0) (hardware concurrency).
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of concurrency lanes (worker threads + the caller).
-  size_t num_threads() const { return workers_.size() + 1; }
+  /// The process-wide pool (created on the first multi-lane ParallelFor).
+  static ThreadPool& Shared();
 
-  /// Splits [begin, end) into at most num_threads() contiguous chunks and
-  /// runs `body(chunk_begin, chunk_end, chunk_index)` for each, the first
-  /// chunk on the calling thread. Blocks until every chunk has finished
-  /// (the join gives the caller a happens-before edge over all chunk
-  /// writes). Chunk boundaries depend on the thread count, so callers that
-  /// promise thread-count-invariant results must reduce chunk outputs with
-  /// an order-independent rule (e.g. arg-max with a total-order tie-break).
+  /// Splits [begin, end) into min(end - begin, ResolveThreadCount(
+  /// num_threads)) contiguous chunks and runs `body(chunk_begin, chunk_end,
+  /// chunk_index)` for each, chunk 0 on the calling thread, which then
+  /// steals its own still-queued chunks instead of idling. Blocks until
+  /// every chunk has finished (the join gives the caller a happens-before
+  /// edge over all chunk writes). Chunk boundaries depend only on the lane
+  /// cap, never on how many workers exist, so callers that promise
+  /// thread-count-invariant results must still reduce chunk outputs with an
+  /// order-independent rule (e.g. arg-max with a total-order tie-break).
   /// If one or more chunk bodies throw, the first exception (in completion
   /// order) is rethrown here after all chunks have finished.
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t, size_t, size_t)>& body);
+  static void ParallelFor(
+      size_t num_threads, size_t begin, size_t end,
+      const std::function<void(size_t, size_t, size_t)>& body);
 
-  /// Point-in-time copy of the lifetime counters.
-  Stats stats() const;
-
-  /// Adds the lifetime counters to `registry` under `<prefix>.*` (e.g.
-  /// `pool.tasks.executed`). Call when a search finishes; the counters in
-  /// the registry then accumulate across pools.
-  void ExportStats(obs::MetricsRegistry& registry,
-                   std::string_view prefix = "pool") const;
+  /// Worker threads started so far (never shrinks).
+  size_t num_workers() const;
 
   /// Maps the user-facing `num_threads` knob to an actual lane count:
   /// 0 means "all hardware threads" (at least 1); other values are taken
   /// as-is up to kMaxLanes, beyond which they are clamped. The clamp keeps
   /// a garbage knob value (e.g. "-1" wrapped through an unsigned parse)
-  /// from trying to spawn billions of workers; results are
+  /// from producing billions of chunks; results are
   /// thread-count-invariant, so clamping never changes any answer.
   static size_t ResolveThreadCount(size_t requested);
 
@@ -94,39 +69,36 @@ class ThreadPool {
   static constexpr size_t kMaxLanes = 256;
 
  private:
+  /// Completion state of one ParallelFor call, on the caller's stack.
+  struct Batch;
+  struct Task {
+    Batch* batch;
+    size_t chunk;
+  };
+
+  ThreadPool();
+
+  /// Starts workers until `lanes` lanes (workers + one caller) exist,
+  /// capped at ResolveThreadCount(0). mu_ must be held.
+  void GrowTo(size_t lanes);
   void WorkerLoop();
+  /// Runs one queued chunk and records its completion.
+  void RunQueued(std::unique_lock<std::mutex>& lock, Task task);
+  void Run(size_t chunks, size_t begin, size_t end,
+           const std::function<void(size_t, size_t, size_t)>& body);
 
-  /// Pops one queued task if available (mu_ must not be held).
-  std::function<void()> TryPop();
-
-  /// Runs one queued task, timing it into task_us_.
-  void RunTimed(const std::function<void()>& task);
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable wake_;
-  bool stop_ = false;
+  std::deque<Task> queue_;
+  /// Never joined: the pool, and so every worker, lives until exit.
+  std::vector<std::thread> workers_;
 
-  // obs primitives: relaxed atomics in the default build, empty no-ops
-  // (stats() then reads all zeros) when built with -DGVA_OBS=OFF.
-  obs::Counter tasks_submitted_;
-  obs::Counter tasks_executed_;
-  obs::Counter tasks_stolen_;
-  obs::Counter tasks_inline_;
-  obs::Gauge max_queue_depth_;
-  obs::Counter task_us_;
-
-  // Live GlobalMetrics() handles (resolved once in the constructor), so a
-  // telemetry scrape sees `threadpool.*` series move *while* a search
-  // runs — ExportStats only lands when a pool user decides to flush.
-  // Several pools share these: counters accumulate across pools and
-  // `threadpool.queue.depth` is last-write-wins, which is the honest
-  // reading for "what is the queue doing right now".
-  obs::Gauge* global_queue_depth_;
-  obs::Counter* global_tasks_submitted_;
-  obs::Counter* global_tasks_executed_;
-  obs::Gauge* global_pools_live_;
+  // Live GlobalMetrics() handles, so a telemetry scrape sees the
+  // `threadpool.*` series move while a search runs.
+  obs::Gauge& queue_depth_;
+  obs::Counter& tasks_submitted_;
+  obs::Counter& tasks_executed_;
+  obs::Counter& tasks_stolen_;
 };
 
 }  // namespace gva

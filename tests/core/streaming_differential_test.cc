@@ -29,8 +29,8 @@ namespace {
 DensityDetection BatchDetect(std::span<const double> suffix,
                              const SaxOptions& sax,
                              const DensityAnomalyOptions& density,
-                             ThreadPool* pool) {
-  auto plane = ComputeSaxZPlane(suffix, sax, nullptr, pool);
+                             size_t num_threads) {
+  auto plane = ComputeSaxZPlane(suffix, sax, nullptr, num_threads);
   EXPECT_TRUE(plane.ok()) << plane.status().ToString();
   auto records = DiscretizeWithZPlane(suffix, sax, *plane);
   EXPECT_TRUE(records.ok()) << records.status().ToString();
@@ -83,8 +83,6 @@ TEST_P(StreamingDifferentialTest, StreamEqualsBatchOnSuffix) {
 
   auto monitor = StreamingAnomalyMonitor::Create(opts);
   ASSERT_TRUE(monitor.ok());
-  ThreadPool single(1);
-  ThreadPool quad(4);
 
   // Every cadence tick draws a report (exercising the difference-updated
   // density curve); the expensive batch recomputation is spot-checked on a
@@ -109,9 +107,9 @@ TEST_P(StreamingDifferentialTest, StreamEqualsBatchOnSuffix) {
         data.series.values().data() + report->suffix_start,
         report->suffix_length);
     ExpectIdentical(report->detection,
-                    BatchDetect(suffix, opts.sax, opts.density, &single));
+                    BatchDetect(suffix, opts.sax, opts.density, 1));
     ExpectIdentical(report->detection,
-                    BatchDetect(suffix, opts.sax, opts.density, &quad));
+                    BatchDetect(suffix, opts.sax, opts.density, 4));
     ++checked;
   }
   EXPECT_GE(checked, 2u) << "cadence too coarse to prove anything";
@@ -129,7 +127,6 @@ TEST_P(StreamingDifferentialTest, UnboundedStreamEqualsBatchOnPrefix) {
 
   auto monitor = StreamingAnomalyMonitor::Create(opts);
   ASSERT_TRUE(monitor.ok());
-  ThreadPool quad(4);
 
   const size_t reports_expected = data.series.size() / report_every;
   const size_t check_every = std::max<size_t>(1, reports_expected / 15);
@@ -147,7 +144,7 @@ TEST_P(StreamingDifferentialTest, UnboundedStreamEqualsBatchOnPrefix) {
     }
     std::span<const double> prefix(data.series.values().data(), i + 1);
     ExpectIdentical(report->detection,
-                    BatchDetect(prefix, opts.sax, opts.density, &quad));
+                    BatchDetect(prefix, opts.sax, opts.density, 4));
   }
 }
 

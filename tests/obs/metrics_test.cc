@@ -225,13 +225,13 @@ TEST(MetricsConcurrencyTest, CounterTotalsAreThreadCountInvariant) {
     MetricsRegistry registry;
     Counter& c = registry.counter("work.items");
     Histogram& h = registry.histogram("work.value");
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, kItems, [&](size_t begin, size_t end, size_t) {
+    const auto body = [&](size_t begin, size_t end, size_t) {
       for (size_t i = begin; i < end; ++i) {
         c.Add();
         h.Record(static_cast<double>(i % 7));
       }
-    });
+    };
+    ThreadPool::ParallelFor(threads, 0, kItems, body);
     totals.push_back(c.value());
     EXPECT_EQ(h.count(), c.value()) << "threads " << threads;
   }
@@ -249,8 +249,7 @@ TEST(MetricsConcurrencyTest, ConcurrentRegistryLookupsAreSafe) {
   // Lookup is the mutex-guarded slow path; hammer it from all lanes to give
   // TSan something to chew on and assert the handles agree afterwards.
   MetricsRegistry registry;
-  ThreadPool pool(8);
-  pool.ParallelFor(0, 64, [&](size_t begin, size_t end, size_t) {
+  ThreadPool::ParallelFor(8, 0, 64, [&](size_t begin, size_t end, size_t) {
     for (size_t i = begin; i < end; ++i) {
       registry.counter("shared.count").Add();
       registry.gauge("shared.depth").RaiseTo(static_cast<int64_t>(i));

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -10,6 +12,7 @@
 #include "core/rra.h"
 #include "datasets/ecg.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "obs/session.h"
 #include "obs/trace.h"
 
@@ -30,8 +33,7 @@ class ObsExportTest : public ::testing::Test {
   }
   void TearDown() override {
     // The session toggles process-wide state; leave it off for other suites.
-    obs::GlobalTracer().Disable();
-    obs::GlobalTracer().Clear();
+    obs::FlightRecorder::Global().StopCapture();
     obs::SetStageTimingEnabled(false);
   }
 };
@@ -81,16 +83,17 @@ TEST_F(ObsExportTest, SearchUnderSessionExportsItsMetrics) {
     rra.sax.paa_size = 4;
     rra.sax.alphabet_size = 4;
     rra.top_k = 1;
+    rra.num_threads = 2;
     auto detection = FindRraDiscords(data.series, rra);
     ASSERT_TRUE(detection.ok());
   }
   const std::string metrics = ReadFileOrEmpty(metrics_path);
-  // The search-level accumulation, the stage spans, and the pool counters
-  // all surface in one snapshot.
+  // The search-level accumulation, the stage spans, and the shared pool's
+  // live counters all surface in one snapshot.
   EXPECT_NE(metrics.find("search.rra.calls.completed"), std::string::npos);
   EXPECT_NE(metrics.find("search.rra.discords"), std::string::npos);
   EXPECT_NE(metrics.find("stage.grammar.sequitur.us"), std::string::npos);
-  EXPECT_NE(metrics.find("pool.tasks.inline"), std::string::npos);
+  EXPECT_NE(metrics.find("threadpool.tasks.submitted"), std::string::npos);
 }
 
 TEST_F(ObsExportTest, MetricsOnlySessionLeavesTracerIdle) {
@@ -101,10 +104,26 @@ TEST_F(ObsExportTest, MetricsOnlySessionLeavesTracerIdle) {
     options.announce = false;
     obs::ObsSession session(options);
     EXPECT_FALSE(session.tracing());
-    EXPECT_FALSE(obs::GlobalTracer().enabled());
+    GVA_OBS_SPAN("export_test.metrics_only");
   }
   EXPECT_NE(ReadFileOrEmpty(metrics_path).find("\"metrics\""),
             std::string::npos);
+  // No capture ran, so the span reached only the flight ring.
+  const std::string capture = obs::FlightRecorder::Global().CaptureJson();
+  EXPECT_EQ(capture.find("export_test.metrics_only"), std::string::npos);
+}
+
+TEST_F(ObsExportTest, FailedMetricsWriteIsAnIoError) {
+  if (::access("/dev/full", W_OK) != 0) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  obs::ObsSession::Options options;
+  options.metrics_path = "/dev/full";
+  options.announce = false;
+  obs::ObsSession session(options);
+  // The buffered write only fails when the file is closed.
+  const Status status = session.Flush();
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 }
 
 // The registry is monotonic; a session exports what accumulated inside its

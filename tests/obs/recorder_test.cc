@@ -4,8 +4,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -14,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "discord/hotsax.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace gva {
 namespace {
@@ -292,7 +299,7 @@ TEST(FlightRecorderTest, ScopedSpanFeedsTheRecorderEvenWithTracerOff) {
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "observability disabled in this build";
   }
-  ASSERT_FALSE(obs::GlobalTracer().enabled());
+  // No capture is active: the ring alone keeps the span.
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const uint64_t before = recorder.events_recorded();
   {
@@ -301,6 +308,161 @@ TEST(FlightRecorderTest, ScopedSpanFeedsTheRecorderEvenWithTracerOff) {
   EXPECT_EQ(recorder.events_recorded() - before, 2u);
   EXPECT_NE(recorder.ToJson().find("\"flight_test.alwayson\""),
             std::string::npos);
+}
+
+
+// Regression: every search used to build its own pool, so each call
+// started fresh threads, each took a flight ring, and after 256 of them
+// no new thread's spans reached /flightz. The shared pool bounds rings.
+TEST(FlightRecorderTest, StaysLiveAcrossManyParallelSearches) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability disabled in this build";
+  }
+  std::vector<double> series(240);
+  for (size_t i = 0; i < series.size(); ++i) {
+    series[i] = std::sin(static_cast<double>(i) * 0.3) +
+                (i >= 150 && i < 160 ? 1.5 : 0.0);
+  }
+  HotSaxOptions options;
+  options.sax.window = 20;
+  options.sax.paa_size = 4;
+  options.sax.alphabet_size = 4;
+  options.num_threads = 4;
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const size_t threads_before = recorder.threads_seen();
+  for (int call = 0; call < 2000; ++call) {
+    ASSERT_TRUE(FindDiscordsHotSax(series, options).ok()) << "call " << call;
+  }
+  EXPECT_LE(recorder.threads_seen() - threads_before,
+            ThreadPool::ResolveThreadCount(0));
+
+  std::thread fresh([&recorder] {
+    recorder.RecordBegin("flight_test.fresh_thread", "test");
+    recorder.RecordEnd("flight_test.fresh_thread");
+  });
+  fresh.join();
+  EXPECT_NE(recorder.ToJson().find("\"flight_test.fresh_thread\""),
+            std::string::npos);
+}
+
+/// The tids of every event named `name` in a Chrome trace document.
+std::vector<long> TidsOf(const std::string& json, const std::string& name) {
+  std::vector<long> tids;
+  const std::string key = "\"name\": \"" + name + "\"";
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    const size_t tid = json.find("\"tid\": ", at);
+    tids.push_back(std::strtol(json.c_str() + tid + 7, nullptr, 10));
+  }
+  return tids;
+}
+
+/// The "ts" of the first event named `name`.
+uint64_t TsOf(const std::string& json, const std::string& name) {
+  const size_t at = json.find("\"name\": \"" + name + "\"");
+  const size_t ts = json.find("\"ts\": ", at);
+  return std::strtoull(json.c_str() + ts + 6, nullptr, 10);
+}
+
+// A capture (what --trace drives) is the recorder's unbounded sink: the
+// rings keep the last kFlightSlotsPerThread edges, the capture keeps every
+// edge of its window.
+class FlightCaptureTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if constexpr (!obs::kEnabled) {
+      GTEST_SKIP() << "spans compile to nothing with GVA_OBS=OFF";
+    }
+  }
+  void TearDown() override { recorder_.StopCapture(); }
+
+  obs::FlightRecorder& recorder_ = obs::FlightRecorder::Global();
+};
+
+TEST_F(FlightCaptureTest, KeepsEverySpanBeyondTheRing) {
+  const size_t spans = 2 * obs::kFlightSlotsPerThread + 17;
+  recorder_.StartCapture();
+  for (size_t i = 0; i < spans; ++i) {
+    GVA_OBS_SPAN("capture_test.many");
+  }
+  recorder_.StopCapture();
+  const std::string path = ::testing::TempDir() + "gva_capture_test.json";
+  std::remove(path.c_str());
+  ASSERT_TRUE(recorder_.WriteCapture(path).ok());
+  const std::string json = ReadFileOrEmpty(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(JsonValidator(json).Valid());
+  EXPECT_EQ(CountOccurrences(json, "\"capture_test.many\""), spans);
+  // The ring itself wrapped: it holds fewer than the capture.
+  EXPECT_LT(CountOccurrences(recorder_.ToJson(), "\"capture_test.many\""),
+            spans);
+}
+
+TEST_F(FlightCaptureTest, ParallelForChunksLandOnDistinctTids) {
+  if (ThreadPool::ResolveThreadCount(0) < 4) {
+    GTEST_SKIP() << "needs 4 hardware threads for 4 concurrent chunks";
+  }
+  recorder_.StartCapture();
+  // Each chunk holds its span open until all four have started, so no
+  // thread can run two of them: the four spans need four threads.
+  std::atomic<int> started{0};
+  ThreadPool::ParallelFor(4, 0, 4, [&](size_t, size_t, size_t) {
+    GVA_OBS_SPAN("capture_test.chunk");
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  recorder_.StopCapture();
+  ASSERT_EQ(started.load(), 4);
+  const std::string json = recorder_.CaptureJson();
+  const std::vector<long> tids = TidsOf(json, "capture_test.chunk");
+  ASSERT_EQ(tids.size(), 4u);
+  EXPECT_EQ(std::set<long>(tids.begin(), tids.end()).size(), 4u);
+}
+
+TEST_F(FlightCaptureTest, OpenSpanAppearsOnceInValidJson) {
+  recorder_.StartCapture();
+  auto span = std::make_unique<obs::ScopedSpan>("capture_test.open");
+  const std::string json = recorder_.CaptureJson();
+  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_EQ(CountOccurrences(json, "\"capture_test.open\""), 1u);
+  // Ending it afterwards still yields exactly one event.
+  span.reset();
+  const std::string ended = recorder_.CaptureJson();
+  EXPECT_EQ(CountOccurrences(ended, "\"capture_test.open\""), 1u);
+}
+
+TEST_F(FlightCaptureTest, OnlySpansInsideTheWindowAppear) {
+  {
+    GVA_OBS_SPAN("capture_test.before");
+  }
+  auto straddles_start = std::make_unique<obs::ScopedSpan>("capture_test.x");
+  const uint64_t before_start = recorder_.NowMicros();
+  recorder_.StartCapture();
+  straddles_start.reset();
+  {
+    GVA_OBS_SPAN("capture_test.inside");
+  }
+  auto straddles_stop = std::make_unique<obs::ScopedSpan>("capture_test.y");
+  recorder_.StopCapture();
+  const uint64_t after_stop = recorder_.NowMicros();
+  straddles_stop.reset();
+  {
+    GVA_OBS_SPAN("capture_test.after");
+  }
+  const std::string json = recorder_.CaptureJson();
+  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_EQ(CountOccurrences(json, "\"capture_test.inside\""), 1u);
+  EXPECT_EQ(json.find("\"capture_test.before\""), std::string::npos);
+  EXPECT_EQ(json.find("\"capture_test.x\""), std::string::npos);
+  EXPECT_EQ(json.find("\"capture_test.after\""), std::string::npos);
+  // A span open at StopCapture ends there.
+  EXPECT_EQ(CountOccurrences(json, "\"capture_test.y\""), 1u);
+  // Timestamps count from StartCapture, not from process start.
+  EXPECT_LE(TsOf(json, "capture_test.inside"), after_stop - before_start);
 }
 
 }  // namespace

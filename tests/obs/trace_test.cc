@@ -1,87 +1,47 @@
 #include "obs/trace.h"
 
-#include <algorithm>
+#include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/recorder.h"
 #include "util/thread_pool.h"
 
 namespace gva::obs {
 namespace {
 
-/// Test-scoped capture on the global tracer (the macro records there).
+/// Test-scoped capture on the global recorder (the macro records there).
 class GlobalTraceCapture {
  public:
-  GlobalTraceCapture() { GlobalTracer().Enable(); }
+  GlobalTraceCapture() { FlightRecorder::Global().StartCapture(); }
   ~GlobalTraceCapture() {
-    GlobalTracer().Disable();
-    GlobalTracer().Clear();
+    FlightRecorder::Global().StopCapture();
     SetStageTimingEnabled(false);
   }
 };
 
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer tracer;
-  EXPECT_FALSE(tracer.enabled());
-  tracer.RecordComplete("x", "gva", 0, 5);
-  // RecordComplete is the low-level sink and always appends; the gating
-  // lives in ScopedSpan. So this event lands:
-  EXPECT_EQ(tracer.event_count(), 1u);
-  tracer.Clear();
-  EXPECT_EQ(tracer.event_count(), 0u);
-}
-
-TEST(TracerTest, EnableClearsAndReanchors) {
-  Tracer tracer;
-  tracer.RecordComplete("stale", "gva", 0, 1);
-  tracer.Enable();
-  EXPECT_TRUE(tracer.enabled());
-  EXPECT_EQ(tracer.event_count(), 0u);
-  const uint64_t t0 = tracer.NowMicros();
-  EXPECT_LT(t0, 1000000u);  // origin re-anchored: near zero, not epoch-scale
-  tracer.Disable();
-  EXPECT_FALSE(tracer.enabled());
-}
-
-TEST(TracerTest, JsonIsChromeTraceShaped) {
-  Tracer tracer;
-  tracer.Enable();
-  tracer.RecordComplete("alpha", "gva", 10, 20);
-  tracer.RecordComplete("beta", "gva", 15, 5);
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"alpha\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"beta\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\": 10"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 20"), std::string::npos);
-}
-
-TEST(TracerTest, ThreadsGetDenseDistinctTids) {
-  Tracer tracer;
-  tracer.Enable();
-  tracer.RecordComplete("caller", "gva", 0, 1);
-  std::thread other([&] { tracer.RecordComplete("worker", "gva", 1, 1); });
-  other.join();
-  const std::string json = tracer.ToJson();
-  EXPECT_NE(json.find("\"tid\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\": 1"), std::string::npos);
-  EXPECT_EQ(json.find("\"tid\": 2"), std::string::npos);
+size_t CountOccurrences(const std::string& haystack,
+                        const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
 }
 
 TEST(ScopedSpanTest, IdleSpanIsANoOp) {
-  GlobalTracer().Disable();
-  GlobalTracer().Clear();
+  // Outside a capture window a span reaches only the flight ring: the
+  // capture export never sees it.
+  FlightRecorder::Global().StartCapture();
+  FlightRecorder::Global().StopCapture();
   {
     GVA_OBS_SPAN("should.not.record");
   }
-  EXPECT_EQ(GlobalTracer().event_count(), 0u);
+  EXPECT_EQ(FlightRecorder::Global().CaptureJson().find("should.not.record"),
+            std::string::npos);
 }
 
 TEST(ScopedSpanTest, NestedSpansAreContainedIntervals) {
@@ -95,9 +55,9 @@ TEST(ScopedSpanTest, NestedSpansAreContainedIntervals) {
   if constexpr (!kEnabled) {
     return;  // spans compile to nothing with GVA_OBS=OFF
   }
-  ASSERT_EQ(GlobalTracer().event_count(), 2u);
-  const std::string json = GlobalTracer().ToJson();
-  // Inner is destroyed (and thus recorded) first.
+  const std::string json = FlightRecorder::Global().CaptureJson();
+  EXPECT_EQ(CountOccurrences(json, "\"ph\": \"X\""), 2u);
+  // Inner ends (and thus is emitted) first.
   const size_t inner_at = json.find("\"name\": \"inner\"");
   const size_t outer_at = json.find("\"name\": \"outer\"");
   ASSERT_NE(inner_at, std::string::npos);
@@ -105,54 +65,64 @@ TEST(ScopedSpanTest, NestedSpansAreContainedIntervals) {
   EXPECT_LT(inner_at, outer_at);
 }
 
-TEST(TracerTest, OpenSpanIsSynthesizedInJsonAtDumpTime) {
-  GlobalTraceCapture capture;
-  auto span = std::make_unique<ScopedSpan>("still.open");
+// The capture window (StartCapture .. StopCapture) is the span sink that
+// --trace drives; these cases pin how it starts and stops.
+TEST(TracerTest, EnableClearsAndReanchors) {
   if constexpr (!kEnabled) {
-    return;  // spans compile to nothing with GVA_OBS=OFF
+    return;
   }
-  // Dump while the span's destructor has not run: it must appear as a
-  // complete event with a synthesized end, and the JSON must stay valid
-  // (no dangling comma, balanced brackets).
-  ASSERT_EQ(GlobalTracer().event_count(), 0u);
-  EXPECT_EQ(GlobalTracer().open_span_count(), 1u);
-  const std::string json = GlobalTracer().ToJson();
-  EXPECT_NE(json.find("\"name\": \"still.open\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_EQ(json.find(",\n]"), std::string::npos);
-  EXPECT_NE(json.find("]}"), std::string::npos);
-
-  // Ending the span afterwards records it exactly once.
-  span.reset();
-  EXPECT_EQ(GlobalTracer().open_span_count(), 0u);
-  EXPECT_EQ(GlobalTracer().event_count(), 1u);
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.StartCapture();
+  {
+    GVA_OBS_SPAN("stale");
+  }
+  recorder.StopCapture();
+  ASSERT_EQ(CountOccurrences(recorder.CaptureJson(), "\"name\": \"stale\""),
+            1u);
+  GlobalTraceCapture capture;
+  {
+    GVA_OBS_SPAN("fresh");
+  }
+  const std::string json = recorder.CaptureJson();
+  // The new capture dropped the previous one's spans.
+  EXPECT_EQ(json.find("\"name\": \"stale\""), std::string::npos);
+  const size_t at = json.find("\"name\": \"fresh\"");
+  ASSERT_NE(at, std::string::npos);
+  const size_t ts = json.find("\"ts\": ", at);
+  ASSERT_NE(ts, std::string::npos);
+  // Origin re-anchored at StartCapture: near zero, not process-age-scale.
+  EXPECT_LT(std::strtoull(json.c_str() + ts + 6, nullptr, 10), 1000000u);
 }
 
 TEST(TracerTest, SpanCrossingDisableIsDroppedNotLeaked) {
-  GlobalTracer().Enable();
-  auto span = std::make_unique<ScopedSpan>("crosses.disable");
-  GlobalTracer().Disable();
-  span.reset();  // CompleteOpen pops the stack but must not record
-  if constexpr (kEnabled) {
-    EXPECT_EQ(GlobalTracer().open_span_count(), 0u);
-    EXPECT_EQ(GlobalTracer().event_count(), 0u);
+  if constexpr (!kEnabled) {
+    return;
   }
-  GlobalTracer().Clear();
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.StartCapture();
+  auto span = std::make_unique<ScopedSpan>("crosses.disable");
+  recorder.StopCapture();
+  span.reset();  // its end falls outside the window
+  // The window it began in reports it once, ended at StopCapture.
+  EXPECT_EQ(CountOccurrences(recorder.CaptureJson(), "\"crosses.disable\""),
+            1u);
+  // It is not carried into the next capture as a still-open span.
+  GlobalTraceCapture capture;
+  EXPECT_EQ(recorder.CaptureJson().find("\"crosses.disable\""),
+            std::string::npos);
 }
 
 TEST(ScopedSpanTest, PoolChunksRecordPerThreadSpans) {
   GlobalTraceCapture capture;
-  ThreadPool pool(4);
-  pool.ParallelFor(0, 4, [&](size_t, size_t, size_t) {
+  ThreadPool::ParallelFor(4, 0, 4, [&](size_t, size_t, size_t) {
     GVA_OBS_SPAN("chunk");
   });
   if constexpr (!kEnabled) {
     return;
   }
-  EXPECT_EQ(GlobalTracer().event_count(), 4u);
-  // Every span names the thread that ran it; tids are dense from 0.
-  const std::string json = GlobalTracer().ToJson();
-  EXPECT_NE(json.find("\"tid\": 0"), std::string::npos);
+  // Every chunk's span is captured on the track of the thread that ran it.
+  const std::string json = FlightRecorder::Global().CaptureJson();
+  EXPECT_EQ(CountOccurrences(json, "\"name\": \"chunk\""), 4u);
 }
 
 TEST(ScopedSpanTest, StageTimingFeedsTheGlobalRegistry) {

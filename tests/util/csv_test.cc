@@ -34,6 +34,10 @@ TEST_F(CsvTest, ParseDoubleRejectsGarbage) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.2x").ok());
+  EXPECT_FALSE(ParseDouble("nan").ok());
+  EXPECT_FALSE(ParseDouble("inf").ok());
+  EXPECT_FALSE(ParseDouble("-inf").ok());
+  EXPECT_FALSE(ParseDouble("infinity").ok());
 }
 
 TEST_F(CsvTest, ReadsSingleColumn) {
@@ -75,6 +79,28 @@ TEST_F(CsvTest, FailsOnMalformedDataLine) {
   WriteFile("1\nnot_a_number\n3\n");
   auto values = ReadCsvColumn(path_);
   EXPECT_FALSE(values.ok());
+}
+
+TEST_F(CsvTest, FailsOnNonFiniteDataLineWithItsLocation) {
+  WriteFile("1\n2\nnan\n4\n");
+  auto values = ReadCsvColumn(path_);
+  ASSERT_FALSE(values.ok());
+  EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(values.status().message().find(path_ + ":3:"), std::string::npos)
+      << values.status().ToString();
+}
+
+TEST_F(CsvTest, WriteStringToFileReportsAFullDevice) {
+  ASSERT_TRUE(WriteStringToFile(path_, "abc").ok());
+  std::ifstream in(path_);
+  std::string contents;
+  std::getline(in, contents);
+  EXPECT_EQ(contents, "abc");
+  std::ifstream dev_full("/dev/full");
+  if (!dev_full) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  EXPECT_EQ(WriteStringToFile("/dev/full", "abc").code(), StatusCode::kIoError);
 }
 
 TEST_F(CsvTest, FailsOnMissingFile) {

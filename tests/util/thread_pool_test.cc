@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,24 +33,40 @@ TEST(ThreadPoolTest, ResolveThreadCountClampsAbsurdRequests) {
             ThreadPool::kMaxLanes);
 }
 
+/// Process-wide `threadpool.*` counter value (0 when obs is compiled out).
+uint64_t PoolCounter(const char* name) {
+  return obs::GlobalMetrics().counter(name).value();
+}
+
 TEST(ThreadPoolTest, SingleLanePoolSpawnsNoWorkers) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1u);
+  // A one-lane call is a plain loop on the calling thread: one chunk, no
+  // queued task, no pool involvement.
+  const uint64_t submitted = PoolCounter("threadpool.tasks.submitted");
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> chunks;
+  const auto body = [&](size_t begin, size_t end, size_t chunk) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 100u);
+    chunks.push_back(chunk);
+  };
+  ThreadPool::ParallelFor(1, 0, 100, body);
+  EXPECT_EQ(chunks, std::vector<size_t>{0});
+  EXPECT_EQ(PoolCounter("threadpool.tasks.submitted"), submitted);
 }
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    ThreadPool pool(threads);
     std::vector<std::atomic<int>> hits(101);
     for (auto& h : hits) {
       h.store(0);
     }
-    pool.ParallelFor(0, hits.size(),
-                     [&](size_t begin, size_t end, size_t /*chunk*/) {
-                       for (size_t i = begin; i < end; ++i) {
-                         hits[i].fetch_add(1);
-                       }
-                     });
+    ThreadPool::ParallelFor(threads, 0, hits.size(),
+                            [&](size_t begin, size_t end, size_t /*chunk*/) {
+                              for (size_t i = begin; i < end; ++i) {
+                                hits[i].fetch_add(1);
+                              }
+                            });
     for (size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
@@ -57,61 +74,59 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, ChunkIndicesAreDistinctAndBounded) {
-  ThreadPool pool(4);
   std::mutex mu;
   std::vector<size_t> seen;
-  pool.ParallelFor(10, 90, [&](size_t begin, size_t end, size_t chunk) {
+  const auto body = [&](size_t begin, size_t end, size_t chunk) {
     EXPECT_LT(begin, end);
-    EXPECT_LT(chunk, pool.num_threads());
+    EXPECT_LT(chunk, 4u);
     std::lock_guard<std::mutex> lock(mu);
     seen.push_back(chunk);
-  });
+  };
+  ThreadPool::ParallelFor(4, 10, 90, body);
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
+  EXPECT_EQ(seen.size(), 4u);
 }
 
 TEST(ThreadPoolTest, EmptyRangeRunsNothing) {
-  ThreadPool pool(4);
   int calls = 0;
-  pool.ParallelFor(5, 5, [&](size_t, size_t, size_t) { ++calls; });
-  pool.ParallelFor(7, 3, [&](size_t, size_t, size_t) { ++calls; });
+  ThreadPool::ParallelFor(4, 5, 5, [&](size_t, size_t, size_t) { ++calls; });
+  ThreadPool::ParallelFor(4, 7, 3, [&](size_t, size_t, size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPoolTest, RangeSmallerThanLanesStillCovers) {
-  ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
   for (auto& h : hits) {
     h.store(0);
   }
-  pool.ParallelFor(0, hits.size(),
-                   [&](size_t begin, size_t end, size_t /*chunk*/) {
-                     for (size_t i = begin; i < end; ++i) {
-                       hits[i].fetch_add(1);
-                     }
-                   });
+  ThreadPool::ParallelFor(8, 0, hits.size(),
+                          [&](size_t begin, size_t end, size_t /*chunk*/) {
+                            for (size_t i = begin; i < end; ++i) {
+                              hits[i].fetch_add(1);
+                            }
+                          });
   for (auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
 }
 
 TEST(ThreadPoolTest, ReusableAcrossRounds) {
-  // The searches reuse one pool for every top-k round; sums must stay
-  // correct when ParallelFor is invoked repeatedly on the same pool.
-  ThreadPool pool(3);
+  // Every top-k round of every search runs on the one shared pool; sums
+  // must stay correct when ParallelFor is invoked repeatedly.
   std::vector<uint64_t> values(1000);
   std::iota(values.begin(), values.end(), 0);
   const uint64_t expected = 1000ull * 999ull / 2;
   for (int round = 0; round < 50; ++round) {
     std::atomic<uint64_t> sum{0};
-    pool.ParallelFor(0, values.size(),
-                     [&](size_t begin, size_t end, size_t /*chunk*/) {
-                       uint64_t local = 0;
-                       for (size_t i = begin; i < end; ++i) {
-                         local += values[i];
-                       }
-                       sum.fetch_add(local);
-                     });
+    ThreadPool::ParallelFor(3, 0, values.size(),
+                            [&](size_t begin, size_t end, size_t /*chunk*/) {
+                              uint64_t local = 0;
+                              for (size_t i = begin; i < end; ++i) {
+                                local += values[i];
+                              }
+                              sum.fetch_add(local);
+                            });
     ASSERT_EQ(sum.load(), expected) << "round " << round;
   }
 }
@@ -120,14 +135,13 @@ TEST(ThreadPoolTest, JoinPublishesChunkWrites) {
   // ParallelFor must give the caller a happens-before edge over worker
   // writes: plain (non-atomic) writes to disjoint slices are visible after
   // the call returns. This is the access pattern of the brute-force search.
-  ThreadPool pool(4);
   std::vector<double> out(4096, -1.0);
-  pool.ParallelFor(0, out.size(),
-                   [&](size_t begin, size_t end, size_t /*chunk*/) {
-                     for (size_t i = begin; i < end; ++i) {
-                       out[i] = static_cast<double>(i) * 0.5;
-                     }
-                   });
+  ThreadPool::ParallelFor(4, 0, out.size(),
+                          [&](size_t begin, size_t end, size_t /*chunk*/) {
+                            for (size_t i = begin; i < end; ++i) {
+                              out[i] = static_cast<double>(i) * 0.5;
+                            }
+                          });
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], static_cast<double>(i) * 0.5);
   }
@@ -140,103 +154,98 @@ TEST(ThreadPoolTest, ThrowingBodyRethrowsOnCallerAndPoolSurvives) {
   // first exception must surface on the calling thread after all chunks of
   // that ParallelFor have drained, with the pool fully usable afterwards.
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
     std::atomic<int> ran{0};
-    EXPECT_THROW(
-        pool.ParallelFor(0, 64,
-                         [&](size_t begin, size_t end, size_t /*chunk*/) {
-                           ran.fetch_add(static_cast<int>(end - begin));
-                           if (begin == 0) {
-                             throw std::runtime_error("chunk failed");
-                           }
-                         }),
-        std::runtime_error)
+    const auto body = [&](size_t begin, size_t end, size_t /*chunk*/) {
+      ran.fetch_add(static_cast<int>(end - begin));
+      if (begin == 0) {
+        throw std::runtime_error("chunk failed");
+      }
+    };
+    EXPECT_THROW(ThreadPool::ParallelFor(threads, 0, 64, body),
+                 std::runtime_error)
         << "threads " << threads;
     // Every chunk ran to the throw point or completion — none was stranded.
     EXPECT_EQ(ran.load(), 64) << "threads " << threads;
 
     // The pool is reusable: the next ParallelFor still covers the range.
     std::atomic<int> hits{0};
-    pool.ParallelFor(0, 100, [&](size_t begin, size_t end, size_t /*chunk*/) {
-      hits.fetch_add(static_cast<int>(end - begin));
-    });
+    ThreadPool::ParallelFor(threads, 0, 100,
+                            [&](size_t begin, size_t end, size_t /*chunk*/) {
+                              hits.fetch_add(static_cast<int>(end - begin));
+                            });
     EXPECT_EQ(hits.load(), 100) << "threads " << threads;
-    // Destructor must join cleanly (exercised at scope exit).
   }
 }
 
 TEST(ThreadPoolTest, EveryChunkThrowingStillDrainsAndRethrowsOne) {
-  ThreadPool pool(4);
   std::atomic<int> attempts{0};
-  EXPECT_THROW(pool.ParallelFor(0, 4,
-                                [&](size_t, size_t, size_t chunk) {
-                                  attempts.fetch_add(1);
-                                  throw std::runtime_error(
-                                      "chunk " + std::to_string(chunk));
-                                }),
-               std::runtime_error);
+  const auto body = [&](size_t, size_t, size_t chunk) {
+    attempts.fetch_add(1);
+    throw std::runtime_error("chunk " + std::to_string(chunk));
+  };
+  EXPECT_THROW(ThreadPool::ParallelFor(4, 0, 4, body), std::runtime_error);
   EXPECT_EQ(attempts.load(), 4);
 }
 
-TEST(ThreadPoolTest, StatsCountSubmittedExecutedAndInline) {
+TEST(ThreadPoolTest, SharedPoolCountsSubmittedExecutedAndStolen) {
   if constexpr (!obs::kEnabled) {
-    // Pool stats are telemetry: with GVA_OBS=OFF the counters are empty
-    // no-ops and stats() reads all zeros (unlike the distance-call split,
-    // which is an algorithm output and always counts).
-    ThreadPool zpool(4);
-    zpool.ParallelFor(0, 400, [&](size_t, size_t, size_t) {});
-    EXPECT_EQ(zpool.stats().tasks_submitted, 0u);
-    EXPECT_EQ(zpool.stats().tasks_inline, 0u);
-    GTEST_SKIP() << "pool stats compile to no-ops with GVA_OBS=OFF";
+    GTEST_SKIP() << "pool metrics compile to no-ops with GVA_OBS=OFF";
   }
-  ThreadPool pool(4);
-  const ThreadPool::Stats before = pool.stats();
-  EXPECT_EQ(before.tasks_submitted, 0u);
-  EXPECT_EQ(before.tasks_inline, 0u);
-
-  constexpr int kRounds = 10;
-  for (int round = 0; round < kRounds; ++round) {
-    pool.ParallelFor(0, 400, [&](size_t, size_t, size_t) {});
+  const uint64_t submitted = PoolCounter("threadpool.tasks.submitted");
+  const uint64_t executed = PoolCounter("threadpool.tasks.executed");
+  const uint64_t stolen = PoolCounter("threadpool.tasks.stolen");
+  constexpr uint64_t kRounds = 10;
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    ThreadPool::ParallelFor(4, 0, 400, [&](size_t, size_t, size_t) {});
   }
-  const ThreadPool::Stats after = pool.stats();
-  // 4 lanes over 400 indices → 3 queued chunks + 1 inline chunk per round.
-  EXPECT_EQ(after.tasks_submitted, static_cast<uint64_t>(3 * kRounds));
-  EXPECT_EQ(after.tasks_inline, static_cast<uint64_t>(kRounds));
-  // Every queued task ran somewhere: a worker or the stealing caller.
-  EXPECT_EQ(after.tasks_executed + after.tasks_stolen, after.tasks_submitted);
-  EXPECT_GE(after.max_queue_depth, 1u);
-  EXPECT_LE(after.max_queue_depth, 3u);
+  // 4 lanes over 400 indices: 3 queued chunks per round plus the caller's.
+  EXPECT_EQ(PoolCounter("threadpool.tasks.submitted") - submitted, 3 * kRounds);
+  // Every queued chunk ran, on a worker or stolen back by its caller.
+  EXPECT_EQ(PoolCounter("threadpool.tasks.executed") - executed, 3 * kRounds);
+  EXPECT_LE(PoolCounter("threadpool.tasks.stolen") - stolen, 3 * kRounds);
+  EXPECT_EQ(obs::GlobalMetrics().gauge("threadpool.pools.live").value(), 1);
 }
 
-TEST(ThreadPoolTest, SingleLaneStatsAreInlineOnly) {
-  if constexpr (!obs::kEnabled) {
-    GTEST_SKIP() << "pool stats compile to no-ops with GVA_OBS=OFF";
+TEST(ThreadPoolTest, WorkersNeverExceedHardwareLanes) {
+  // However wide and however many the calls, the one pool holds at most
+  // hardware-concurrency - 1 workers (the caller is the remaining lane).
+  const auto noop = [](size_t, size_t, size_t) {};
+  for (int call = 0; call < 100; ++call) {
+    ThreadPool::ParallelFor(ThreadPool::kMaxLanes, 0, 1000, noop);
   }
-  ThreadPool pool(1);
-  pool.ParallelFor(0, 100, [&](size_t, size_t, size_t) {});
-  const ThreadPool::Stats s = pool.stats();
-  EXPECT_EQ(s.tasks_inline, 1u);
-  EXPECT_EQ(s.tasks_submitted, 0u);
-  EXPECT_EQ(s.tasks_executed, 0u);
-  EXPECT_EQ(s.tasks_stolen, 0u);
-  EXPECT_EQ(s.max_queue_depth, 0u);
+  EXPECT_LE(ThreadPool::Shared().num_workers(),
+            ThreadPool::ResolveThreadCount(0) - 1);
 }
 
-TEST(ThreadPoolTest, ExportStatsAccumulatesIntoRegistry) {
-  if constexpr (!obs::kEnabled) {
-    GTEST_SKIP() << "pool stats compile to no-ops with GVA_OBS=OFF";
+TEST(ThreadPoolTest, ConcurrentCallersEachSeeTheirOwnRange) {
+  // Several threads share the pool at once (serverd job slots do): every
+  // caller's chunks run exactly once and only its own results come back.
+  constexpr size_t kCallers = 4;
+  std::vector<uint64_t> sums(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([c, &sums] {
+      for (int round = 0; round < 20; ++round) {
+        std::atomic<uint64_t> sum{0};
+        const auto body = [&sum](size_t begin, size_t end, size_t) {
+          uint64_t local = 0;
+          for (size_t i = begin; i < end; ++i) {
+            local += i;
+          }
+          sum.fetch_add(local);
+        };
+        ThreadPool::ParallelFor(4, 0, 1000 * (c + 1), body);
+        sums[c] = sum.load();
+      }
+    });
   }
-  obs::MetricsRegistry registry;
-  {
-    ThreadPool pool(2);
-    pool.ParallelFor(0, 64, [&](size_t, size_t, size_t) {});
-    pool.ExportStats(registry, "pool");
+  for (std::thread& t : callers) {
+    t.join();
   }
-  EXPECT_EQ(registry.counter("pool.tasks.submitted").value(), 1u);
-  EXPECT_EQ(registry.counter("pool.tasks.inline").value(), 1u);
-  EXPECT_EQ(registry.counter("pool.tasks.executed").value() +
-                registry.counter("pool.tasks.stolen").value(),
-            1u);
+  for (size_t c = 0; c < kCallers; ++c) {
+    const uint64_t n = 1000 * (c + 1);
+    EXPECT_EQ(sums[c], n * (n - 1) / 2) << "caller " << c;
+  }
 }
 
 }  // namespace

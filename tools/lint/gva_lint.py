@@ -71,6 +71,13 @@ signal-safety        allocation (malloc/new/std::string/containers), stdio
                      legal — a malloc inside a handler that interrupted
                      malloc deadlocks, and iostream locks are not
                      reentrant.
+pool-construction    a ThreadPool constructed (a local or member ThreadPool
+                     variable, `new ThreadPool`, `make_unique<ThreadPool>`)
+                     in src/ or examples/ outside src/util/thread_pool.*. There is one
+                     executor, ThreadPool::Shared(); callers pass a lane cap
+                     to ThreadPool::ParallelFor. A per-call pool starts
+                     fresh threads on every call, and each one takes a
+                     flight-recorder ring for good.
 """
 
 from __future__ import annotations
@@ -503,6 +510,39 @@ def check_signal_safety(path: str, rel: str,
     return findings
 
 
+# --- rule: pool-construction -------------------------------------------------
+
+# The executor's own implementation is the only place a pool is built.
+POOL_ALLOWED_PREFIX = "src/util/thread_pool."
+
+POOL_PATTERNS = [
+    re.compile(r"(?<![\w:])ThreadPool\s+\w+\s*[({]"),
+    re.compile(r"(?<![\w])new\s+(?:gva::)?ThreadPool\b"),
+    re.compile(r"make_(?:unique|shared)\s*<\s*(?:gva::)?ThreadPool\s*>"),
+]
+
+
+def check_pool_construction(path: str, rel: str,
+                            lines: list[str]) -> list[Finding]:
+    if not rel.startswith(("src/", "examples/")):
+        return []
+    if rel.startswith(POOL_ALLOWED_PREFIX):
+        return []
+    findings = []
+    for i, raw in enumerate(lines, 1):
+        if "pool-construction" in allowed_rules(raw):
+            continue
+        code = strip_strings_and_comments(raw)
+        if any(pattern.search(code) for pattern in POOL_PATTERNS):
+            findings.append(Finding(
+                rel, i, "pool-construction",
+                "ThreadPool constructed outside src/util/thread_pool.*: "
+                "pass a lane cap to ThreadPool::ParallelFor, which runs on "
+                "the one shared pool — a per-call pool starts fresh threads "
+                "on every call"))
+    return findings
+
+
 # --- driver -------------------------------------------------------------------
 
 ALL_RULES = {
@@ -515,6 +555,7 @@ ALL_RULES = {
     "include-bits": check_include_bits,
     "simd-intrinsics": check_simd_intrinsics,
     "signal-safety": check_signal_safety,
+    "pool-construction": check_pool_construction,
 }
 
 SOURCE_EXTENSIONS = (".cc", ".cpp", ".h", ".hpp")

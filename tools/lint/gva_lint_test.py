@@ -284,6 +284,53 @@ class SignalSafetyRule(unittest.TestCase):
             ["signal-safety"])
 
 
+class PoolConstructionRule(unittest.TestCase):
+    """A ThreadPool built outside src/util/thread_pool.*: every parallel
+    loop runs on the one shared pool."""
+
+    def test_local_heap_and_make_unique_fire(self) -> None:
+        findings = findings_for("src/discord/bad_pool.cc")
+        self.assertEqual(rules_of(findings), ["pool-construction"] * 3)
+
+    def test_prose_shared_calls_and_suppression_do_not_fire(self) -> None:
+        findings = findings_for("src/discord/bad_pool.cc")
+        flagged_lines = {f.line for f in findings}
+        lines = open(os.path.join(TESTDATA, "src/discord/bad_pool.cc"),
+                     encoding="utf-8").read().splitlines()
+        for i, line in enumerate(lines, 1):
+            if "finding" not in line:
+                self.assertNotIn(i, flagged_lines, f"line {i}: {line}")
+
+    def test_thread_pool_implementation_is_exempt(self) -> None:
+        full = os.path.join(TESTDATA, "src/discord/bad_pool.cc")
+        lines = open(full, encoding="utf-8").read().splitlines()
+        for rel in ("src/util/thread_pool.cc", "src/util/thread_pool.h"):
+            self.assertEqual(
+                gva_lint.check_pool_construction(full, rel, lines), [])
+
+    def test_real_tree_builds_no_pool(self) -> None:
+        # The regression pin for the shared executor: no search, the
+        # ensemble, the z-plane or an example owns a pool.
+        root = os.path.normpath(os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", ".."))
+        files = gva_lint.collect_files(root, ["src", "examples"])
+        findings = []
+        for full, rel in files:
+            lines = open(full, encoding="utf-8").read().splitlines()
+            findings.extend(gva_lint.check_pool_construction(
+                full, rel.replace(os.sep, "/"), lines))
+        self.assertEqual(findings, [])
+        # And the rule watches those files: seeding the old per-call pool
+        # into a search is caught.
+        rel = "src/discord/hotsax.cc"
+        full = os.path.join(root, rel)
+        seeded = open(full, encoding="utf-8").read().splitlines()
+        seeded.append("  ThreadPool roundPool(options.num_threads);")
+        self.assertEqual(
+            rules_of(gva_lint.check_pool_construction(full, rel, seeded)),
+            ["pool-construction"])
+
+
 class CleanFixture(unittest.TestCase):
     def test_clean_pair_has_no_findings(self) -> None:
         self.assertEqual(findings_for("src/ensemble/clean.cc"), [])
@@ -320,6 +367,7 @@ class DriverBehaviour(unittest.TestCase):
             "include-bits": 1,
             "simd-intrinsics": 6,
             "signal-safety": 4,
+            "pool-construction": 3,
         })
 
 
