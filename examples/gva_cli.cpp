@@ -20,8 +20,10 @@
 //   --top N         anomalies/discords to report (default 3)
 //   --threshold F   density threshold fraction (default 0.05)
 //   --approx        rra: paper's interval-aligned inner loop (no exact tail)
-//   --threads N     rra/ensemble: worker threads (0 = all cores; default 1);
-//                   results are identical for every value
+//   --threads N     worker threads of the rra/ensemble searches and of the
+//                   parameter suggestion sweep (density/rra/ensemble with a
+//                   parameter left out, and profile); 0 = all cores,
+//                   default 1. Results are identical for every value
 //   --csv-out PATH  write the density curve next to the series as CSV
 //
 // Stream options:
@@ -181,7 +183,8 @@ StatusOr<SaxOptions> ResolveSax(const Args& args, const TimeSeries& series) {
   const bool all_given = args.has_flag("window") && args.has_flag("paa") &&
                          args.has_flag("alphabet");
   if (!all_given) {
-    StatusOr<SaxOptions> suggested = SuggestParameters(series);
+    StatusOr<SaxOptions> suggested =
+        SuggestParameters(series, {}, args.get_size("threads", 1));
     if (suggested.ok()) {
       sax = *suggested;
       if (!args.has_flag("quiet")) {
@@ -524,8 +527,7 @@ int RunStream(const Args& args) {
 }
 
 int RunProfile(const Args& args, const TimeSeries& series) {
-  (void)args;
-  auto profiles = SweepParameterGrid(series, {});
+  auto profiles = SweepParameterGrid(series, {}, args.get_size("threads", 1));
   if (!profiles.ok()) {
     std::fprintf(stderr, "%s\n", profiles.status().ToString().c_str());
     return 1;
@@ -538,11 +540,10 @@ int RunProfile(const Args& args, const TimeSeries& series) {
                 p.sax.window, p.sax.paa_size, p.sax.alphabet_size, p.tokens,
                 p.rules, p.grammar_size, p.approximation_error, p.score);
   }
-  auto suggested = SuggestParameters(series);
-  if (suggested.ok()) {
+  auto best = BestProfile(*profiles);
+  if (best.ok()) {
     std::printf("\nsuggestion: --window %zu --paa %zu --alphabet %zu\n",
-                suggested->window, suggested->paa_size,
-                suggested->alphabet_size);
+                best->sax.window, best->sax.paa_size, best->sax.alphabet_size);
   }
   return 0;
 }

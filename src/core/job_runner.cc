@@ -88,7 +88,8 @@ StatusOr<SaxOptions> ResolveJobSax(const JobSpec& spec,
   const bool all_given =
       spec.window != 0 && spec.paa != 0 && spec.alphabet != 0;
   if (!all_given) {
-    StatusOr<SaxOptions> suggested = SuggestParameters(series);
+    StatusOr<SaxOptions> suggested =
+        SuggestParameters(series, {}, spec.num_threads);
     if (suggested.ok()) {
       sax = *suggested;
     }

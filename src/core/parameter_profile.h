@@ -47,18 +47,32 @@ struct ParameterGrid {
   std::vector<size_t> alphabet_sizes = {3, 4, 5, 6};
 };
 
-/// Profiles every valid combination of the grid (combinations whose window
-/// exceeds the series or whose PAA exceeds the window are skipped).
+/// Profiles every valid combination of the grid (combinations whose series
+/// is shorter than two windows or whose PAA exceeds the window are
+/// skipped), in grid order: windows, then PAA sizes, then alphabets. Every
+/// profile is bit-identical to ProfileParameters on the same combination.
+/// The series statistics are built once per call, and each (window, paa)
+/// group shares one z-plane across its alphabets. `num_threads` caps the
+/// lanes the groups run on (0 = all cores); the result is identical for
+/// every value.
 StatusOr<std::vector<GrammarProfile>> SweepParameterGrid(
-    std::span<const double> series, const ParameterGrid& grid);
+    std::span<const double> series, const ParameterGrid& grid,
+    size_t num_threads = 1);
 
-/// Picks the grid combination with the best score — a data-driven starting
-/// point for the discretization parameters, following the paper's
-/// observation that context-driven parameter choices (one heartbeat, one
-/// week, one cycle) produce sensible grammars: such choices sit where the
-/// grammar is both small and faithful.
+/// The profile with the highest score, the first one in `profiles` on a
+/// tie. NotFound when `profiles` is empty or no score is positive.
+StatusOr<GrammarProfile> BestProfile(
+    const std::vector<GrammarProfile>& profiles);
+
+/// Picks the grid combination with the best score (BestProfile over
+/// SweepParameterGrid) — a data-driven starting point for the
+/// discretization parameters, following the paper's observation that
+/// context-driven parameter choices (one heartbeat, one week, one cycle)
+/// produce sensible grammars: such choices sit where the grammar is both
+/// small and faithful.
 StatusOr<SaxOptions> SuggestParameters(std::span<const double> series,
-                                       const ParameterGrid& grid = {});
+                                       const ParameterGrid& grid = {},
+                                       size_t num_threads = 1);
 
 }  // namespace gva
 

@@ -106,6 +106,13 @@ Status ReadSamples(const JsonValue& value, std::string_view key,
       return Status::InvalidArgument("field '" + std::string(key) +
                                      "' must contain only numbers");
     }
+    // An overflowing literal such as 1e999 parses to +-inf, which would
+    // poison every prefix sum after it.
+    if (!std::isfinite(item.as_number())) {
+      return Status::InvalidArgument(
+          StrFormat("%.*s[%zu] is not finite", static_cast<int>(key.size()),
+                    key.data(), out->size()));
+    }
     out->push_back(item.as_number());
   }
   return Status::Ok();

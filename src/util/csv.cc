@@ -10,6 +10,19 @@
 
 namespace gva {
 
+namespace {
+
+/// Whether strtod reads all of `field` as a number, finite or not ("1.5",
+/// "nan", "inf", "1e999"). A first line that is not is taken as a header.
+bool ParsesAsNumber(std::string_view field) {
+  const std::string buffer(StripWhitespace(field));
+  char* end = nullptr;
+  std::strtod(buffer.c_str(), &end);
+  return !buffer.empty() && end == buffer.c_str() + buffer.size();
+}
+
+}  // namespace
+
 StatusOr<double> ParseDouble(std::string_view field) {
   std::string_view stripped = StripWhitespace(field);
   if (stripped.empty()) {
@@ -67,8 +80,9 @@ StatusOr<std::vector<double>> ReadCsvColumn(const std::string& path,
     }
     StatusOr<double> parsed = ParseDouble(fields[column]);
     if (!parsed.ok()) {
-      if (first_data_line) {
-        // Tolerate one non-numeric first line as a header.
+      if (first_data_line && !ParsesAsNumber(fields[column])) {
+        // Tolerate one non-numeric first line as a header. A number that
+        // ParseDouble rejects (nan, inf, 1e999) is a bad data row.
         first_data_line = false;
         continue;
       }

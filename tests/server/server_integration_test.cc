@@ -447,6 +447,43 @@ TEST_F(ServerIntegrationTest, MalformedSubmissionsAreRejected) {
   EXPECT_EQ(server_->runner().jobs_accepted(), 0u);
 }
 
+TEST_F(ServerIntegrationTest, NonFiniteSamplesAreRejected) {
+  // JSON has no inf, but strtod turns an overflowing literal into one.
+  for (const char* literal : {"1e999", "-1e999"}) {
+    const std::string body = std::string(R"({"series": [1, 2, 3, )") +
+                             literal + R"(, 5], "window": 2, "paa": 2,
+                             "alphabet": 3})";
+    const TestHttpResponse response =
+        SendHttpRequest(port(), "POST", "/v1/jobs", body);
+    EXPECT_EQ(response.status, 400) << literal << "\n" << response.body;
+    EXPECT_NE(response.body.find("series[3] is not finite"),
+              std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(server_->runner().jobs_accepted(), 0u);
+
+  TestHttpResponse response =
+      SendHttpRequest(port(), "POST", "/v1/streams/finite",
+                      R"({"window": 8, "paa": 4, "alphabet": 4})");
+  ASSERT_EQ(response.status, 201) << response.body;
+  for (const char* literal : {"1e999", "-1e999"}) {
+    response = SendHttpRequest(
+        port(), "POST", "/v1/streams/finite/samples",
+        std::string(R"({"samples": [0.5, )") + literal + "]}");
+    EXPECT_EQ(response.status, 400) << literal << "\n" << response.body;
+    EXPECT_NE(response.body.find("samples[1] is not finite"),
+              std::string::npos)
+        << response.body;
+  }
+  // The rejected batches fed nothing to the monitor.
+  response = SendHttpRequest(port(), "POST", "/v1/streams/finite/samples",
+                             R"({"samples": [0.5]})");
+  ASSERT_EQ(response.status, 200) << response.body;
+  auto doc = ParseJson(response.body);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->Find("samples_seen")->as_number(), 1.0);
+}
+
 // Route-table unit tests straight through HandleRequest — no sockets, so
 // they pin routing decisions independent of transport.
 TEST_F(ServerIntegrationTest, RouteTableEdges) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +88,34 @@ TEST_F(CsvTest, FailsOnNonFiniteDataLineWithItsLocation) {
   ASSERT_FALSE(values.ok());
   EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(values.status().message().find(path_ + ":3:"), std::string::npos)
+      << values.status().ToString();
+}
+
+TEST_F(CsvTest, FailsOnNonFiniteFirstDataLineWithItsLocation) {
+  for (const char* first : {"nan", "inf", "-inf", "infinity", "1e999"}) {
+    WriteFile(std::string(first) + "\n1\n2\n");
+    auto values = ReadCsvColumn(path_);
+    ASSERT_FALSE(values.ok()) << first;
+    EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(values.status().message().find(path_ + ":1:"),
+              std::string::npos)
+        << values.status().ToString();
+  }
+}
+
+TEST_F(CsvTest, FailsOnNonFiniteFirstDataLineInARequestedColumn) {
+  WriteFile("0,NaN\n1,20\n");
+  auto values = ReadCsvColumn(path_, 1);
+  ASSERT_FALSE(values.ok());
+  EXPECT_NE(values.status().message().find(path_ + ":1:"), std::string::npos)
+      << values.status().ToString();
+}
+
+TEST_F(CsvTest, NonFiniteDataLineAfterAHeaderFailsWithItsLocation) {
+  WriteFile("value\ninf\n2\n");
+  auto values = ReadCsvColumn(path_);
+  ASSERT_FALSE(values.ok());
+  EXPECT_NE(values.status().message().find(path_ + ":2:"), std::string::npos)
       << values.status().ToString();
 }
 
