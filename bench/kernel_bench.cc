@@ -28,9 +28,13 @@
 
 #include "backend/backend.h"
 #include "bench_util.h"
+#include "core/parameter_profile.h"
 #include "datasets/ecg.h"
+#include "datasets/power_demand.h"
 #include "datasets/simple.h"
 #include "discord/distance.h"
+#include "grammar/audit.h"
+#include "grammar/sequitur.h"
 #include "obs/metrics.h"
 #include "sax/mindist.h"
 #include "sax/sax_transform.h"
@@ -158,15 +162,29 @@ struct KernelRow {
   double units = 0.0;  // items processed per run (points or elements)
 
   double Speedup() const { return baseline_s / kernel_s; }
+  /// Rows timed without an in-binary baseline (baseline_s == 0).
+  bool HasBaseline() const { return baseline_s > 0.0; }
 };
 
 void PrintRow(const KernelRow& row) {
+  if (!row.HasBaseline()) {
+    std::printf("%-28s %-30s baseline       n/a  kernel %9.4fs\n",
+                row.name.c_str(), row.detail.c_str(), row.kernel_s);
+    return;
+  }
   std::printf("%-28s %-30s baseline %9.4fs  kernel %9.4fs  speedup %6.2fx\n",
               row.name.c_str(), row.detail.c_str(), row.baseline_s,
               row.kernel_s, row.Speedup());
 }
 
 std::string JsonRow(const KernelRow& row) {
+  if (!row.HasBaseline()) {
+    return StrFormat(
+        "    {\"name\": \"%s\", \"detail\": \"%s\", \"kernel_s\": %.6f, "
+        "\"kernel_items_per_s\": %.0f}",
+        row.name.c_str(), row.detail.c_str(), row.kernel_s,
+        row.units / row.kernel_s);
+  }
   return StrFormat(
       "    {\"name\": \"%s\", \"detail\": \"%s\", \"baseline_s\": %.6f, "
       "\"kernel_s\": %.6f, \"speedup\": %.3f, \"baseline_items_per_s\": "
@@ -177,6 +195,71 @@ std::string JsonRow(const KernelRow& row) {
 
 // ---------------------------------------------------------------------------
 // Benchmark stages.
+
+/// Sequitur induction (InferGrammar: induction plus grammar extraction)
+/// over the token streams the parameter sweep induces on demo:power: one
+/// stream per valid combination of `grid`, words interned in first
+/// occurrence order. Every grammar is audited before timing. The row has
+/// no in-binary baseline; compare it with the same row built against an
+/// older grammar/sequitur.cc.
+KernelRow BenchSequitur(const ParameterGrid& grid, int reps) {
+  const TimeSeries series = MakePowerDemand().series;
+  std::vector<std::vector<int32_t>> streams;
+  size_t tokens = 0;
+  std::string failure;  // the first config that failed, if any
+  for (size_t window : grid.windows) {
+    for (size_t paa : grid.paa_sizes) {
+      for (size_t alphabet : grid.alphabet_sizes) {
+        if (paa > window || series.size() < 2 * window) {
+          continue;
+        }
+        SaxOptions opts;
+        opts.window = window;
+        opts.paa_size = paa;
+        opts.alphabet_size = alphabet;
+        const std::string config =
+            StrFormat("w=%zu paa=%zu a=%zu", window, paa, alphabet);
+        auto records = Discretize(series, opts);
+        auto words = records.ok() ? InferGrammarFromWords(records->words)
+                                  : StatusOr<WordGrammar>(records.status());
+        const Status audit = words.ok() ? AuditGrammar(words->grammar,
+                                                       words->tokens)
+                                        : words.status();
+        if (!audit.ok()) {
+          if (failure.empty()) {
+            failure = config + ": " + audit.message();
+          }
+          continue;
+        }
+        tokens += words->tokens.size();
+        streams.push_back(std::move(words->tokens));
+      }
+    }
+  }
+  bench::Check(failure.empty(),
+               StrFormat("sequitur: %zu demo:power grammars audit clean%s%s",
+                         streams.size(), failure.empty() ? "" : "; ",
+                         failure.c_str()));
+
+  KernelRow row;
+  row.name = "sequitur/power_grid";
+  row.detail = StrFormat("configs=%zu tokens=%zu", streams.size(), tokens);
+  row.units = static_cast<double>(tokens);
+  row.kernel_s = BestOf(reps, [&] {
+    size_t rules = 0;
+    for (const std::vector<int32_t>& stream : streams) {
+      const auto grammar = InferGrammar(stream);
+      if (!grammar.ok()) {
+        std::abort();
+      }
+      rules += grammar->size();
+    }
+    if (rules == 0) {
+      std::abort();  // keep the optimizer honest
+    }
+  });
+  return row;
+}
 
 const KernelRow* FindRow(const std::vector<KernelRow>& rows,
                          const std::string& name) {
@@ -537,6 +620,9 @@ int Run(bool smoke, const std::string& out_path) {
     rows.push_back(BenchDiscretize("sine_3k_ragged", sine, ragged, 1));
     rows.push_back(BenchDistance("sine_3k", sine, 64, 2000, false, 1));
     rows.push_back(BenchDistance("sine_3k", sine, 64, 2000, true, 1));
+    ParameterGrid small_grid;
+    small_grid.windows = {100};
+    rows.push_back(BenchSequitur(small_grid, 1));
 
     // Backend matrix on the smoke cases: cheap, and it keeps the
     // cross-backend equality CHECKs inside the default ctest run on every
@@ -599,6 +685,8 @@ int Run(bool smoke, const std::string& out_path) {
     BenchDistanceBackends("ecg", ecg.series, 120, 20000, false, 3, &rows);
     BenchDiscretizeBackends("sine_100k", sine, opts, 3, &rows);
     BenchDiscretizeBackends("ecg", ecg.series, ecg_sax, 3, &rows);
+
+    rows.push_back(BenchSequitur(ParameterGrid{}, 5));
 
     rows.push_back(BenchObsOverhead(sine, 180, 50000, 5));
   }
@@ -669,8 +757,13 @@ int Run(bool smoke, const std::string& out_path) {
         "kernel = incremental prefix-sum discretization / blocked-abandon "
         "distance under the scalar backend. rows with a [backend] suffix: "
         "baseline = the scalar backend, kernel = that backend, on identical "
-        "work (the dispatch matrix, DESIGN.md \\u00a711). items = series "
-        "points (discretize) or accumulated elements (distance).\",\n";
+        "work (the dispatch matrix, DESIGN.md \\u00a711). "
+        "sequitur/power_grid: InferGrammar over the token streams of the "
+        "default parameter grid on demo:power, no in-binary baseline; a "
+        "parent_kernel_s field is the same row built against the previous "
+        "grammar/sequitur.cc on the same host. items = series points "
+        "(discretize), accumulated elements (distance) or tokens "
+        "(sequitur).\",\n";
     json += "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       json += JsonRow(rows[i]);

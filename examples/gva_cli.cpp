@@ -10,7 +10,8 @@
 // ("demo:ecg", "demo:power"), which makes the CLI runnable with no files.
 // The stream command additionally accepts "-" to consume whitespace-
 // separated samples from stdin (live ingestion: nothing is materialized,
-// memory stays bounded by --horizon).
+// memory stays bounded by --horizon). A token that is not a finite number
+// fails the run (exit 1) and names its 0-based sample index.
 //
 // Common options (--flag value and --flag=value are both accepted):
 //   --column N      CSV column to read (default 0)
@@ -62,7 +63,9 @@
 //                   auto-selection (fastest available). Search results are
 //                   backend-independent up to floating-point rounding.
 
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -401,6 +404,20 @@ void PrintStreamReport(const StreamingReport& report, size_t samples_seen,
   }
 }
 
+/// Reads the next whitespace-separated token of `in`; false at end of input.
+bool ReadToken(std::FILE* in, std::string* token) {
+  token->clear();
+  int c = std::fgetc(in);
+  while (c != EOF && std::isspace(c) != 0) {
+    c = std::fgetc(in);
+  }
+  while (c != EOF && std::isspace(c) == 0) {
+    token->push_back(static_cast<char>(c));
+    c = std::fgetc(in);
+  }
+  return !token->empty();
+}
+
 int RunStream(const Args& args) {
   const bool quiet = args.has_flag("quiet");
   const bool from_stdin = args.csv_path == "-";
@@ -494,8 +511,22 @@ int RunStream(const Args& args) {
   };
 
   if (from_stdin) {
-    double value = 0.0;
-    while (std::scanf("%lf", &value) == 1) {
+    // A bad sample fails the run: feeding NaN would poison every window it
+    // touches, and stopping quietly would report on a truncated stream.
+    std::string token;
+    for (size_t index = 0; ReadToken(stdin, &token); ++index) {
+      char* end = nullptr;
+      const double value = std::strtod(token.c_str(), &end);
+      if (end != token.c_str() + token.size()) {
+        std::fprintf(stderr, "stdin sample %zu: '%s' is not a number\n",
+                     index, token.c_str());
+        return 1;
+      }
+      if (!std::isfinite(value)) {
+        std::fprintf(stderr, "stdin sample %zu: '%s' is not finite\n", index,
+                     token.c_str());
+        return 1;
+      }
       if (!feed(value)) {
         break;
       }

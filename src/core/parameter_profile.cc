@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
+#include <unordered_map>
 
 #include "grammar/sequitur.h"
 #include "obs/trace.h"
@@ -102,14 +104,13 @@ double ReconstructionError(std::span<const double> series,
 }
 
 GrammarProfile ProfileOf(const SaxOptions& options, const SaxRecords& records,
-                         const Grammar& grammar, double approximation_error) {
+                         const GrammarShape& shape,
+                         double approximation_error) {
   GrammarProfile profile;
   profile.sax = options;
   profile.tokens = records.size();
-  profile.rules = grammar.size();
-  for (const GrammarRule& rule : grammar.rules()) {
-    profile.grammar_size += rule.rhs.size();
-  }
+  profile.rules = shape.rules;
+  profile.grammar_size = shape.symbols;
   profile.approximation_error = approximation_error;
   profile.compression =
       profile.tokens > 0
@@ -127,6 +128,40 @@ GrammarProfile ProfileOf(const SaxOptions& options, const SaxRecords& records,
   return profile;
 }
 
+/// Induces the grammar of `records` and returns its shape. Sequitur only
+/// compares terminals for equality, so any injective word code yields the
+/// same rules: the word's base-alphabet value when alphabet^paa < 2^31,
+/// first-occurrence interning otherwise.
+GrammarShape InduceShape(const SaxRecords& records,
+                         const SaxOptions& options) {
+  GVA_OBS_SPAN("grammar.sequitur.induce");
+  constexpr uint64_t kCodeLimit = uint64_t{1} << 31;
+  uint64_t words = 1;  // alphabet^paa, saturated at kCodeLimit
+  for (size_t j = 0; j < options.paa_size && words < kCodeLimit; ++j) {
+    words *= options.alphabet_size;
+  }
+  IncrementalSequitur sequitur;
+  if (words < kCodeLimit) {
+    const auto base = static_cast<uint32_t>(options.alphabet_size);
+    for (const std::string& word : records.words) {
+      uint32_t code = 0;
+      for (char letter : word) {
+        code = code * base +
+               static_cast<uint32_t>(NormalAlphabet::IndexOfLetter(letter));
+      }
+      GVA_CHECK(sequitur.Append(static_cast<int32_t>(code)).ok());
+    }
+  } else {
+    std::unordered_map<std::string, int32_t> vocabulary;
+    for (const std::string& word : records.words) {
+      const int32_t next = static_cast<int32_t>(vocabulary.size());
+      GVA_CHECK(sequitur.Append(vocabulary.emplace(word, next).first->second)
+                    .ok());
+    }
+  }
+  return sequitur.Shape();
+}
+
 /// Profiles one (window, paa) group: one z-plane, read by every alphabet of
 /// the group, and one profile per alphabet written to out[0..alphabets).
 /// `base` must be valid (any alphabet) and the series at least one window
@@ -142,9 +177,7 @@ Status ProfileGroup(std::span<const double> series, const RollingStats& stats,
     options.alphabet_size = alphabets[i];
     GVA_ASSIGN_OR_RETURN(SaxRecords records,
                          DiscretizeWithZPlane(series, options, plane));
-    GVA_ASSIGN_OR_RETURN(WordGrammar grammar,
-                         InferGrammarFromWords(records.words));
-    out[i] = ProfileOf(options, records, grammar.grammar,
+    out[i] = ProfileOf(options, records, InduceShape(records, options),
                        ReconstructionError(series, records, options, moments));
   }
   return Status::Ok();

@@ -1,5 +1,9 @@
 #include "grammar/sequitur.h"
 
+#include <algorithm>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -8,6 +12,26 @@
 
 #ifdef GVA_AUDIT
 #include "grammar/audit.h"
+#endif
+
+// Freed arena slots are poisoned under AddressSanitizer, so a use-after-free
+// in the symbol surgery still trips even though the memory is never handed
+// back to the allocator.
+#if defined(__SANITIZE_ADDRESS__)
+#define GVA_SEQUITUR_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GVA_SEQUITUR_ASAN 1
+#endif
+#endif
+
+#ifdef GVA_SEQUITUR_ASAN
+#include <sanitizer/asan_interface.h>
+#define GVA_POISON(addr, size) ASAN_POISON_MEMORY_REGION((addr), (size))
+#define GVA_UNPOISON(addr, size) ASAN_UNPOISON_MEMORY_REGION((addr), (size))
+#else
+#define GVA_POISON(addr, size) ((void)(addr), (void)(size))
+#define GVA_UNPOISON(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace gva {
@@ -22,25 +46,36 @@ namespace {
 
 struct Rule;
 
+/// `terminal` values that are not terminals.
+constexpr int32_t kNonTerminal = -1;
+constexpr int32_t kGuard = -2;
+
 struct Sym {
   Sym* next = nullptr;
   Sym* prev = nullptr;
-  int32_t terminal = -1;     // >= 0 for terminals
-  Rule* rule = nullptr;      // non-null for non-terminals
-  Rule* guard_of = nullptr;  // non-null for a rule's guard node
+  Rule* rule = nullptr;        // referenced rule (non-terminal), owner (guard)
+  uint32_t id = 0;             // digram identity, see IdOf
+  int32_t terminal = kNonTerminal;  // >= 0 for terminals
 
-  bool IsGuard() const { return guard_of != nullptr; }
-  bool IsNonTerminal() const { return rule != nullptr; }
+  bool IsGuard() const { return terminal == kGuard; }
+  bool IsNonTerminal() const { return terminal == kNonTerminal; }
   bool IsTerminal() const { return terminal >= 0; }
 };
 
 struct Rule {
   Sym guard;
-  size_t use_count = 0;   // number of non-terminal symbols referencing this
-  uint64_t serial = 0;    // stable identity for digram hashing
+  size_t use_count = 0;  // number of non-terminal symbols referencing this
+  // Length of the expansion in terminals. Fixed at creation: substituting a
+  // digram by its rule and inlining a rule both preserve every expansion.
+  size_t expansion = 0;
+  uint32_t serial = 0;   // stable identity for digram hashing
+  // Extract's scratch: the dense id this rule got in extraction `seen`.
+  int32_t extract_id = 0;
+  uint64_t seen = 0;
 
-  explicit Rule(uint64_t serial_number) : serial(serial_number) {
-    guard.guard_of = this;
+  explicit Rule(uint32_t serial_number) : serial(serial_number) {
+    guard.terminal = kGuard;
+    guard.rule = this;
     guard.next = &guard;
     guard.prev = &guard;
   }
@@ -50,39 +85,215 @@ struct Rule {
   bool Empty() { return guard.next == &guard; }
 };
 
-class Inducer {
- public:
-  // Note: root_ must be created in the body — NewRule() appends to
-  // all_rules_, which is declared (and therefore constructed) after root_.
-  Inducer() { root_ = NewRule(); }
+/// A slab arena for one trivially destructible type: objects are carved
+/// from geometrically growing slabs and recycled through a free list, so
+/// the induction makes O(log n) allocator calls instead of one per symbol.
+/// Every object dies with the arena.
+template <typename T>
+class SlabArena {
+  static_assert(std::is_trivially_destructible_v<T>);
 
-  ~Inducer() {
-    // Free every surviving symbol and rule.
-    for (Rule* r : all_rules_) {
-      if (r == nullptr) {
-        continue;
+ public:
+  SlabArena() = default;
+  SlabArena(const SlabArena&) = delete;
+  SlabArena& operator=(const SlabArena&) = delete;
+
+  template <typename... Args>
+  T* New(Args&&... args) {
+    void* slot = nullptr;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      if (next_ == slab_end_) {
+        Grow();
       }
-      Sym* s = r->first();
-      while (!s->IsGuard()) {
-        Sym* next = s->next;
-        delete s;
-        s = next;
+      slot = next_++;
+    }
+    GVA_UNPOISON(slot, sizeof(T));
+    ++live_;
+    return ::new (slot) T(std::forward<Args>(args)...);
+  }
+
+  void Delete(T* object) {
+    GVA_DCHECK(live_ > 0);
+    --live_;
+    free_.push_back(object);
+    GVA_POISON(object, sizeof(T));
+  }
+
+  /// Objects handed out and not yet deleted.
+  size_t live() const { return live_; }
+
+ private:
+  struct alignas(T) Slot {
+    unsigned char bytes[sizeof(T)];
+  };
+  static constexpr size_t kFirstSlab = 64;
+  static constexpr size_t kMaxSlab = 16384;
+
+  void Grow() {
+    const size_t size =
+        slabs_.empty() ? kFirstSlab : std::min(2 * slab_size_, kMaxSlab);
+    slabs_.push_back(std::make_unique<Slot[]>(size));
+    slab_size_ = size;
+    next_ = slabs_.back().get();
+    slab_end_ = next_ + size;
+    GVA_POISON(next_, size * sizeof(Slot));
+  }
+
+  std::vector<std::unique_ptr<Slot[]>> slabs_;
+  std::vector<void*> free_;
+  Slot* next_ = nullptr;
+  Slot* slab_end_ = nullptr;
+  size_t slab_size_ = 0;
+  size_t live_ = 0;
+};
+
+/// The digram index: open addressing with linear probing over the exact
+/// digram `(IdOf(first), IdOf(second))` packed into 64 bits, so two
+/// different digrams can never share an entry. Erased entries become
+/// tombstones, reused by later inserts and purged by the next rehash.
+class DigramIndex {
+ public:
+  DigramIndex() : slots_(size_t{1} << kInitialBits) {}
+  DigramIndex(const DigramIndex&) = delete;
+  DigramIndex& operator=(const DigramIndex&) = delete;
+
+  /// Returns the symbol indexed under `key`; when there is none, indexes
+  /// `s` under it and returns nullptr.
+  Sym* FindOrInsert(uint64_t key, Sym* s) {
+    Slot* reusable = nullptr;
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.sym == nullptr) {
+        if (reusable == nullptr) {
+          if (used_ + 1 > (mask_ + 1) / 2) {
+            Rehash();
+            return FindOrInsert(key, s);
+          }
+          reusable = &slot;
+          ++used_;
+        }
+        reusable->key = key;
+        reusable->sym = s;
+        ++live_;
+        return nullptr;
       }
-      delete r;
+      if (slot.sym == Tombstone()) {
+        if (reusable == nullptr) {
+          reusable = &slot;
+        }
+      } else if (slot.key == key) {
+        return slot.sym;
+      }
     }
   }
+
+  /// Indexes `s` under `key`, replacing any symbol indexed there.
+  void Assign(uint64_t key, Sym* s) {
+    Slot* slot = FindSlot(key);
+    if (slot != nullptr) {
+      slot->sym = s;
+    } else {
+      FindOrInsert(key, s);
+    }
+  }
+
+  /// Erases `key` when it indexes `s`; when `twin` is non-null it inherits
+  /// the entry instead.
+  void Release(uint64_t key, const Sym* s, Sym* twin) {
+    Slot* slot = FindSlot(key);
+    if (slot == nullptr || slot->sym != s) {
+      return;
+    }
+    if (twin != nullptr) {
+      slot->sym = twin;
+      return;
+    }
+    slot->sym = Tombstone();
+    --live_;
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    Sym* sym = nullptr;  // nullptr: empty; Tombstone(): erased
+  };
+  static constexpr int kInitialBits = 6;
+
+  /// The tombstone marker: a sentinel no live digram points at.
+  Sym* Tombstone() { return &tombstone_; }
+
+  size_t Home(uint64_t key) const {
+    // Fibonacci hashing: the multiply spreads both halves of the packed
+    // pair over the high bits, which pick the home slot.
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  Slot* FindSlot(uint64_t key) {
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.sym == nullptr) {
+        return nullptr;
+      }
+      if (slot.key == key && slot.sym != Tombstone()) {
+        return &slot;
+      }
+    }
+  }
+
+  /// Drops the tombstones, doubling the capacity unless at most a quarter
+  /// of it is live.
+  void Rehash() {
+    const size_t capacity = mask_ + 1;
+    if (4 * live_ > capacity) {
+      --shift_;
+    }
+    std::vector<Slot> old(size_t{1} << (64 - shift_));
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    used_ = live_;
+    for (const Slot& slot : old) {
+      if (slot.sym == nullptr || slot.sym == Tombstone()) {
+        continue;
+      }
+      size_t i = Home(slot.key);
+      while (slots_[i].sym != nullptr) {
+        i = (i + 1) & mask_;
+      }
+      slots_[i] = slot;
+    }
+  }
+
+  Sym tombstone_;
+  std::vector<Slot> slots_;
+  int shift_ = 64 - kInitialBits;  // 64 - log2(capacity)
+  size_t mask_ = (size_t{1} << kInitialBits) - 1;
+  size_t live_ = 0;  // slots holding a symbol
+  size_t used_ = 0;  // live plus tombstone slots
+};
+
+class Inducer {
+ public:
+  Inducer() : root_(NewRule()) {}
 
   Inducer(const Inducer&) = delete;
   Inducer& operator=(const Inducer&) = delete;
 
   void AppendTerminal(int32_t token) {
-    Sym* s = new Sym();
+    Sym* s = NewSym();
     s->terminal = token;
+    s->id = (static_cast<uint32_t>(token) << 1) | 1u;
+    ++root_->expansion;
     InsertAfter(root_->last(), s);
     Check(s->prev);
   }
 
-  Rule* root() { return root_; }
+  /// Live rules (R0 included) and the symbols on their right-hand sides.
+  /// Every live rule is reachable from R0, so this is the shape Extract
+  /// returns.
+  GrammarShape Shape() const { return {rules_.live(), syms_.live()}; }
 
   /// Extracts the final grammar (rule table + occurrence lists).
   Grammar Extract(size_t num_tokens);
@@ -90,29 +301,18 @@ class Inducer {
  private:
   // --- identity & digram index -------------------------------------------
 
-  static uint64_t IdOf(const Sym* s) {
-    if (s->IsTerminal()) {
-      return (static_cast<uint64_t>(s->terminal) << 1) | 1u;
-    }
-    GVA_DCHECK(s->IsNonTerminal());
-    return s->rule->serial << 1;
-  }
+  /// A symbol's digram identity: terminal t is 2t + 1, a non-terminal for
+  /// the rule with serial s is 2s. Terminals are below 2^31 and NewRule
+  /// keeps serials there too, so the identity fits 32 bits exactly.
+  static uint32_t IdOf(const Sym* s) { return s->id; }
 
+  /// The exact digram starting at `s`.
   static uint64_t DigramKey(const Sym* s) {
-    // 64-bit mix of the two symbol identities.
-    uint64_t a = IdOf(s);
-    uint64_t b = IdOf(s->next);
-    uint64_t h = a * 0x9e3779b97f4a7c15ULL;
-    h ^= b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
+    return (static_cast<uint64_t>(IdOf(s)) << 32) | IdOf(s->next);
   }
 
   void DeleteDigram(Sym* s) {
     if (s->IsGuard() || s->next->IsGuard()) {
-      return;
-    }
-    auto it = digrams_.find(DigramKey(s));
-    if (it == digrams_.end() || it->second != s) {
       return;
     }
     // Inside a run of >= 3 identical symbols ("x x x"), the digram starting
@@ -124,19 +324,16 @@ class Inducer {
     // by the enclosing operation, its own DeleteDigram runs right after and
     // erases the slot again.)
     Sym* twin = s->next;
-    if (!twin->IsGuard() && !twin->next->IsGuard() &&
-        IdOf(twin) == IdOf(s) && IdOf(twin->next) == IdOf(twin)) {
-      it->second = twin;
-    } else {
-      digrams_.erase(it);
-    }
+    const bool inherits = !twin->next->IsGuard() && IdOf(twin) == IdOf(s) &&
+                          IdOf(twin->next) == IdOf(twin);
+    digrams_.Release(DigramKey(s), s, inherits ? twin : nullptr);
   }
 
   void IndexDigram(Sym* s) {
     if (s->IsGuard() || s->next->IsGuard()) {
       return;
     }
-    digrams_[DigramKey(s)] = s;
+    digrams_.Assign(DigramKey(s), s);
   }
 
   // --- linked-list surgery -------------------------------------------------
@@ -164,16 +361,18 @@ class Inducer {
     if (s->IsNonTerminal()) {
       Deuse(s->rule);
     }
-    delete s;
+    syms_.Delete(s);
   }
 
   // --- rules ---------------------------------------------------------------
 
   Rule* NewRule() {
-    Rule* r = new Rule(next_serial_++);
-    all_rules_.push_back(r);
-    return r;
+    GVA_CHECK(next_serial_ < (uint32_t{1} << 31)) << "Sequitur rule serials";
+    return rules_.New(next_serial_++);
   }
+
+  /// Frees a rule whose right-hand side has been spliced elsewhere.
+  void FreeRule(Rule* q) { rules_.Delete(q); }
 
   void Reuse(Rule* r) { ++r->use_count; }
   void Deuse(Rule* r) {
@@ -181,19 +380,27 @@ class Inducer {
     --r->use_count;
   }
 
+  Sym* NewSym() { return syms_.New(); }
+
   Sym* NewNonTerminal(Rule* r) {
-    Sym* s = new Sym();
+    Sym* s = NewSym();
     s->rule = r;
+    s->id = r->serial << 1;
     Reuse(r);
     return s;
+  }
+
+  static size_t ExpansionOf(const Sym* s) {
+    return s->IsTerminal() ? 1 : s->rule->expansion;
   }
 
   Sym* CopyOf(const Sym* s) {
     if (s->IsNonTerminal()) {
       return NewNonTerminal(s->rule);
     }
-    Sym* c = new Sym();
+    Sym* c = NewSym();
     c->terminal = s->terminal;
+    c->id = s->id;
     return c;
   }
 
@@ -205,13 +412,10 @@ class Inducer {
     if (s->IsGuard() || s->next->IsGuard()) {
       return false;
     }
-    const uint64_t key = DigramKey(s);
-    auto it = digrams_.find(key);
-    if (it == digrams_.end()) {
-      digrams_.emplace(key, s);
+    Sym* found = digrams_.FindOrInsert(DigramKey(s), s);
+    if (found == nullptr) {
       return false;
     }
-    Sym* found = it->second;
     if (found->next != s) {  // Overlapping occurrence (e.g. "aaa"): skip.
       Match(s, found);
     }
@@ -224,11 +428,12 @@ class Inducer {
     Rule* r = nullptr;
     if (found->prev->IsGuard() && found->next->next->IsGuard()) {
       // `found` is the complete RHS of an existing rule: reuse it.
-      r = found->prev->guard_of;
+      r = found->prev->rule;
       Substitute(ss, r);
     } else {
       // Create a new rule from the digram's content.
       r = NewRule();
+      r->expansion = ExpansionOf(ss) + ExpansionOf(ss->next);
       InsertAfter(r->last(), CopyOf(ss));
       InsertAfter(r->last(), CopyOf(ss->next));
       Substitute(found, r);
@@ -270,12 +475,10 @@ class Inducer {
     Join(left, f);    // un-indexes (left, s)
     Join(l, right);
 
-    // Detach the guard so the rule can be freed; its symbols now live in the
-    // enclosing rule.
-    q->guard.next = &q->guard;
-    q->guard.prev = &q->guard;
+    // The rule's symbols now live in the enclosing rule; free the emptied
+    // rule and the non-terminal that referenced it.
     FreeRule(q);
-    delete s;
+    syms_.Delete(s);
 
     // The spliced-in boundary digram (l, right) may duplicate a digram that
     // already exists elsewhere in the grammar. Blindly indexing it (as the
@@ -288,101 +491,61 @@ class Inducer {
     }
   }
 
-  void FreeRule(Rule* q) {
-    for (Rule*& r : all_rules_) {
-      if (r == q) {
-        r = nullptr;
-        break;
-      }
-    }
-    delete q;
-  }
-
-  Rule* root_ = nullptr;
-  uint64_t next_serial_ = 0;
-  std::unordered_map<uint64_t, Sym*> digrams_;
-  std::vector<Rule*> all_rules_;
+  // The arenas own every rule and symbol; declared first so they outlive
+  // the pointers below.
+  SlabArena<Rule> rules_;
+  SlabArena<Sym> syms_;
+  DigramIndex digrams_;
+  uint32_t next_serial_ = 0;
+  uint64_t extractions_ = 0;  // Extract's generation stamp, see Rule::seen
+  Rule* root_;
 };
 
 Grammar Inducer::Extract(size_t num_tokens) {
-  // Assign dense ids by first encounter in a pre-order walk from R0.
-  std::unordered_map<const Rule*, int32_t> ids;
+  // Assign dense ids by first encounter in a pre-order walk from R0. A rule
+  // is numbered in this extraction when its `seen` stamp matches.
+  const uint64_t stamp = ++extractions_;
   std::vector<Rule*> ordered;
-  ids.emplace(root_, 0);
+  std::vector<size_t> rhs_lengths;
+  ordered.reserve(rules_.live());
+  rhs_lengths.reserve(rules_.live());
+  root_->seen = stamp;
+  root_->extract_id = 0;
   ordered.push_back(root_);
   for (size_t i = 0; i < ordered.size(); ++i) {
+    size_t length = 0;
     for (Sym* s = ordered[i]->first(); !s->IsGuard(); s = s->next) {
-      if (s->IsNonTerminal() && !ids.contains(s->rule)) {
-        ids.emplace(s->rule, static_cast<int32_t>(ordered.size()));
+      ++length;
+      if (s->IsNonTerminal() && s->rule->seen != stamp) {
+        s->rule->seen = stamp;
+        s->rule->extract_id = static_cast<int32_t>(ordered.size());
         ordered.push_back(s->rule);
       }
     }
+    rhs_lengths.push_back(length);
   }
 
   std::vector<GrammarRule> rules(ordered.size());
+  std::vector<uint8_t> nested(ordered.size(), 0);  // RHS has a non-terminal
   for (size_t i = 0; i < ordered.size(); ++i) {
     GrammarRule& out = rules[i];
     out.id = static_cast<int32_t>(i);
     out.use_count = ordered[i]->use_count;
+    out.expansion_tokens = ordered[i]->expansion;
+    out.rhs.reserve(rhs_lengths[i]);
     for (Sym* s = ordered[i]->first(); !s->IsGuard(); s = s->next) {
       if (s->IsTerminal()) {
         out.rhs.push_back(GrammarSymbol{true, s->terminal});
       } else {
-        out.rhs.push_back(GrammarSymbol{false, ids.at(s->rule)});
+        out.rhs.push_back(GrammarSymbol{false, s->rule->extract_id});
+        nested[i] = 1;
       }
     }
-  }
-
-  // Expansion lengths, bottom-up via memoized resolution. Rules form a DAG
-  // (a rule only references rules that exist when it is created, and
-  // pre-order id assignment does not guarantee topological order), so use a
-  // small fixpoint DFS.
-  std::vector<size_t> lengths(rules.size(), 0);
-  std::vector<int> state(rules.size(), 0);  // 0=unvisited 1=visiting 2=done
-  struct LenFrame {
-    size_t rule;
-    size_t pos;
-  };
-  for (size_t start = 0; start < rules.size(); ++start) {
-    if (state[start] == 2) {
-      continue;
-    }
-    std::vector<LenFrame> stack{{start, 0}};
-    state[start] = 1;
-    while (!stack.empty()) {
-      LenFrame& top = stack.back();
-      const GrammarRule& r = rules[top.rule];
-      if (top.pos == r.rhs.size()) {
-        size_t total = 0;
-        for (const GrammarSymbol& sym : r.rhs) {
-          total += sym.is_terminal
-                       ? 1
-                       : lengths[static_cast<size_t>(sym.id)];
-        }
-        lengths[top.rule] = total;
-        state[top.rule] = 2;
-        stack.pop_back();
-        continue;
-      }
-      const GrammarSymbol& sym = r.rhs[top.pos];
-      ++top.pos;
-      if (!sym.is_terminal) {
-        size_t child = static_cast<size_t>(sym.id);
-        if (state[child] == 0) {
-          state[child] = 1;
-          stack.push_back({child, 0});
-        } else {
-          GVA_CHECK(state[child] == 2) << "cycle in Sequitur grammar";
-        }
-      }
-    }
-  }
-  for (size_t i = 0; i < rules.size(); ++i) {
-    rules[i].expansion_tokens = lengths[i];
   }
 
   // Occurrences: single walk of R0's expansion recording the start token of
-  // every non-terminal occurrence.
+  // every non-terminal occurrence. A rule of terminals only is stepped over
+  // whole.
   struct OccFrame {
     size_t rule;
     size_t pos;
@@ -402,9 +565,13 @@ Grammar Inducer::Extract(size_t num_tokens) {
     if (sym.is_terminal) {
       ++token_pos;
     } else {
-      size_t child = static_cast<size_t>(sym.id);
+      const size_t child = static_cast<size_t>(sym.id);
       rules[child].occurrences.push_back(token_pos);
-      stack.push_back({child, 0});
+      if (nested[child] != 0) {
+        stack.push_back({child, 0});
+      } else {
+        token_pos += rules[child].expansion_tokens;
+      }
     }
   }
   GVA_CHECK_EQ(token_pos, num_tokens);
@@ -452,6 +619,22 @@ Grammar IncrementalSequitur::ExtractGrammar() const {
   GVA_DCHECK(audit.ok()) << audit.message();
 #endif
   return grammar;
+}
+
+GrammarShape IncrementalSequitur::Shape() const {
+  const GrammarShape shape = impl_->inducer.Shape();
+#ifdef GVA_AUDIT
+  // The counters must describe exactly the grammar a snapshot would hold.
+  const Grammar grammar = ExtractGrammar();
+  size_t symbols = 0;
+  for (const GrammarRule& rule : grammar.rules()) {
+    symbols += rule.rhs.size();
+  }
+  GVA_DCHECK(shape.rules == grammar.size() && shape.symbols == symbols)
+      << "grammar shape " << shape.rules << "/" << shape.symbols
+      << " != extracted " << grammar.size() << "/" << symbols;
+#endif
+  return shape;
 }
 
 StatusOr<Grammar> InferGrammar(std::span<const int32_t> tokens) {

@@ -12,6 +12,13 @@
 
 namespace gva {
 
+/// The size of a grammar without its content: what a compression score
+/// needs (see SweepParameterGrid), read from the live induction state.
+struct GrammarShape {
+  size_t rules = 0;    ///< rules including R0 (Grammar::size())
+  size_t symbols = 0;  ///< right-hand-side symbols summed over all rules
+};
+
 /// Incremental Sequitur: tokens are appended one at a time and a grammar
 /// snapshot can be extracted at any point — the induction is inherently
 /// online (the paper's Section 7 points at real-time streams for exactly
@@ -37,6 +44,10 @@ class IncrementalSequitur {
   /// occurrences). O(grammar size + occurrences); the induction state is
   /// not disturbed and further Append calls are fine.
   Grammar ExtractGrammar() const;
+
+  /// The shape ExtractGrammar() would return, in O(1): the rule count and
+  /// the summed right-hand-side length, without building the grammar.
+  GrammarShape Shape() const;
 
  private:
   struct Impl;

@@ -282,6 +282,27 @@ TEST(SweepTest, SingleProfileMatchesPreChangeProfile) {
   ExpectBitIdentical(*got, *want, "sine kMinDist eps=0.5");
 }
 
+TEST(SweepTest, WordCodesAndInternedWordsGiveTheOracleProfiles) {
+  // The sweep feeds Sequitur each word's base-alphabet value when
+  // alphabet^paa < 2^31 (4^12) and interned ids otherwise (20^12); both
+  // must reproduce the old string-vocabulary profiles.
+  const std::vector<double> series =
+      MakeSineWithAnomaly(3000, 90.0, 0.05, 1500, 100, 3).series.values();
+  ParameterGrid grid;
+  grid.windows = {60, 96};
+  grid.paa_sizes = {12};
+  grid.alphabet_sizes = {4, 20};
+  auto want = OracleSweep(series, grid);
+  auto got = SweepParameterGrid(series, grid, 2);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    ExpectBitIdentical((*got)[i], (*want)[i], "wide words");
+    EXPECT_GE((*got)[i].rules, 2u) << "grammar must have rules to compare";
+  }
+}
+
 TEST(SweepTest, InvalidAlphabetFailsWithThePreChangeMessage) {
   const std::vector<double> series = MakeSine(1000, 50.0, 0.05, 1);
   ParameterGrid grid;

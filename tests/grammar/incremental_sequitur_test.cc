@@ -38,6 +38,32 @@ TEST(IncrementalSequiturTest, SnapshotEqualsBatchAtEveryPrefix) {
   }
 }
 
+TEST(IncrementalSequiturTest, ShapeMatchesExtractedGrammarMidStream) {
+  Rng rng(8);
+  IncrementalSequitur s;
+  EXPECT_EQ(s.Shape().rules, 1u);
+  EXPECT_EQ(s.Shape().symbols, 0u);
+  for (int i = 0; i < 5000; ++i) {
+    // Motif-heavy input, so rules are created, reused and inlined.
+    const int32_t t = rng.UniformDouble() < 0.6
+                          ? static_cast<int32_t>(i % 7)
+                          : static_cast<int32_t>(rng.UniformInt(5));
+    ASSERT_TRUE(s.Append(t).ok());
+    if (i % 613 != 0 && i != 4999) {
+      continue;
+    }
+    const Grammar g = s.ExtractGrammar();
+    size_t symbols = 0;
+    for (const GrammarRule& rule : g.rules()) {
+      symbols += rule.rhs.size();
+    }
+    const GrammarShape shape = s.Shape();
+    EXPECT_EQ(shape.rules, g.size()) << "after " << i + 1 << " tokens";
+    EXPECT_EQ(shape.symbols, symbols) << "after " << i + 1 << " tokens";
+  }
+  EXPECT_GT(s.Shape().rules, 2u);
+}
+
 TEST(IncrementalSequiturTest, AppendContinuesAfterSnapshot) {
   IncrementalSequitur s;
   for (int32_t t : {0, 1, 0, 1}) {

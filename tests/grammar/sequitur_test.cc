@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "grammar/audit.h"
 #include "util/rng.h"
 
 namespace gva {
@@ -300,6 +301,21 @@ TEST(SequiturRegressionTest, LongRunsMixedWithMotifs) {
   CheckAllInvariants(*g, input);
 }
 
+TEST(SequiturRegressionTest, CollidingDigramKeysStayDistinct) {
+  // The digram index used to key a lossy 64-bit mix of the two symbol
+  // identities; (2, 0) and (1159822835, 188684876) mixed to the same key,
+  // so the second digram was "matched" against the first and the grammar
+  // expanded to "1159822835 188684876 1159822835 188684876". The index is
+  // keyed by the exact pair now.
+  const std::vector<int32_t> input{2, 0, 1159822835, 188684876};
+  auto g = InferGrammar(input);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->ExpandToTerminals(0), input);
+  const Status audit = AuditGrammar(*g, input);
+  EXPECT_TRUE(audit.ok()) << audit.message();
+  CheckAllInvariants(*g, input);
+}
+
 // --- randomized property sweep ----------------------------------------------
 
 class SequiturPropertyTest
@@ -319,11 +335,41 @@ TEST_P(SequiturPropertyTest, InvariantsHoldOnRandomStrings) {
   CheckAllInvariants(*g, input);
 }
 
+// The same strings over `alphabet` token ids drawn from the whole
+// [0, 2^31) range: the digram index keys on the exact id pair, so wide ids
+// must behave exactly like small ones. The long instantiation grows the
+// index through several rehashes while rule folding keeps erasing entries.
+TEST_P(SequiturPropertyTest, InvariantsHoldOnWideTokenIds) {
+  const auto [alphabet, length, seed] = GetParam();
+  Rng rng(seed);
+  std::vector<int32_t> ids;
+  for (int i = 0; i < alphabet; ++i) {
+    ids.push_back(static_cast<int32_t>(rng.UniformInt(uint64_t{1} << 31)));
+  }
+  std::vector<int32_t> input;
+  input.reserve(length);
+  for (size_t i = 0; i < length; ++i) {
+    const uint64_t pick = rng.UniformInt(static_cast<uint64_t>(alphabet));
+    input.push_back(ids[static_cast<size_t>(pick)]);
+  }
+  auto g = InferGrammar(input);
+  ASSERT_TRUE(g.ok());
+  CheckAllInvariants(*g, input);
+  const Status audit = AuditGrammar(*g, input);
+  EXPECT_TRUE(audit.ok()) << audit.message();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SequiturPropertyTest,
     ::testing::Combine(::testing::Values(2, 3, 4, 8, 26),
                        ::testing::Values<size_t>(2, 3, 7, 50, 300, 1500),
                        ::testing::Values<uint64_t>(1, 2, 3, 4)));
+
+INSTANTIATE_TEST_SUITE_P(
+    Long, SequiturPropertyTest,
+    ::testing::Combine(::testing::Values(3, 16, 400),
+                       ::testing::Values<size_t>(60000),
+                       ::testing::Values<uint64_t>(5, 6)));
 
 // Structured random strings: repeated motifs embedded in noise, closer to
 // the SAX-word sequences the detectors feed in.
