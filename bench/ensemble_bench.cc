@@ -1,6 +1,6 @@
 // Ensemble-engine benchmark: the shared-substrate batched path (one
-// RollingStats prefix-sum per series, one SaxZPlane per distinct
-// (window, paa) key reused across alphabets) measured against the naive
+// RollingStats prefix-sum per series, one DiscretizeGroup pass per distinct
+// (window, paa) key coding all its alphabets) measured against the naive
 // path that runs every grid config through its own single-query pipeline.
 // Correctness is CHECKed on every configuration — bit-identical ensemble
 // scores, identical anomaly intervals, deterministic cache accounting —
@@ -135,8 +135,8 @@ EnsembleRow BenchGrid(const std::string& name,
     }
   }
   bench::Check(shared_run->cache_misses == keys.size(),
-               StrFormat("%s: one z-plane miss per distinct (w, paa) key "
-                         "(%llu misses, %zu keys)",
+               StrFormat("%s: one discretization-pass miss per distinct "
+                         "(w, paa) key (%llu misses, %zu keys)",
                          name.c_str(),
                          static_cast<unsigned long long>(
                              shared_run->cache_misses),
@@ -147,7 +147,7 @@ EnsembleRow BenchGrid(const std::string& name,
                          static_cast<unsigned long long>(
                              shared_run->cache_hits)));
   bench::Check(shared_run->cache_hits > 0,
-               name + ": the grid exercises z-plane sharing (hits > 0)");
+               name + ": the grid exercises pass sharing (hits > 0)");
   bench::Check(naive_run->cache_hits == 0 && naive_run->cache_misses == 0,
                name + ": naive path touches no cache");
   if (obs::kEnabled) {  // the registry is compiled away under GVA_OBS=OFF
@@ -238,8 +238,8 @@ int Run(bool smoke, const std::string& out_path, size_t num_threads) {
     json +=
         "  \"note\": \"naive = every grid config through its own "
         "discretize->Sequitur->density pipeline; shared = one RollingStats "
-        "prefix-sum per series plus one SaxZPlane per distinct (window, "
-        "paa) key reused across alphabet-only-differing configs. Results "
+        "prefix-sum per series plus one DiscretizeGroup pass per distinct "
+        "(window, paa) key, coding every alphabet of the key. Results "
         "are CHECKed bit-identical. cache_hits + cache_misses = runnable "
         "configs.\",\n";
     json += "  \"rows\": [\n";
@@ -274,7 +274,12 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
       out_set = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      num_threads = std::strtoul(argv[++i], nullptr, 10);
+      if (!gva::ParseSize(argv[++i], &num_threads)) {
+        std::fprintf(stderr,
+                     "--threads: '%s' is not a non-negative integer\n",
+                     argv[i]);
+        return 2;
+      }
     } else {
       std::printf(
           "usage: ensemble_bench [--smoke] [--out PATH] [--threads N] "

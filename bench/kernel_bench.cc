@@ -55,27 +55,18 @@ SaxRecords NaiveDiscretize(std::span<const double> series,
   const NormalAlphabet alphabet(opts.alphabet_size);
   const size_t windows = NumSlidingWindows(series.size(), opts.window);
   SaxRecords records;
+  records.words = SaxWords(opts.paa_size);
   records.words.reserve(windows);
   records.offsets.reserve(windows);
+  std::vector<uint64_t> code(SaxLaneCount(opts.paa_size));
   for (size_t pos = 0; pos < windows; ++pos) {
-    std::string word =
-        SaxWordForWindow(WindowAt(series, pos, opts.window), opts, alphabet);
-    bool keep = true;
-    if (!records.words.empty()) {
-      const std::string& prev = records.words.back();
-      switch (numerosity) {
-        case NumerosityReduction::kNone:
-          break;
-        case NumerosityReduction::kExact:
-          keep = (word != prev);
-          break;
-        case NumerosityReduction::kMinDist:
-          keep = !MinDistIsZero(word, prev, alphabet);
-          break;
-      }
-    }
-    if (keep) {
-      records.words.push_back(std::move(word));
+    SaxWordForWindow(WindowAt(series, pos, opts.window), opts, alphabet,
+                     code.data());
+    const std::span<const uint64_t> prev =
+        records.words.empty() ? std::span<const uint64_t>()
+                              : records.words.back();
+    if (KeepSaxWord(prev, code, opts.paa_size, numerosity, alphabet)) {
+      records.words.push_back(code);
       records.offsets.push_back(pos);
     }
   }
@@ -256,6 +247,31 @@ KernelRow BenchSequitur(const ParameterGrid& grid, int reps) {
     }
     if (rules == 0) {
       std::abort();  // keep the optimizer honest
+    }
+  });
+  return row;
+}
+
+/// The single-lane parameter sweep (SweepParameterGrid over `grid` on
+/// demo:power, one lane): group discretization, Sequitur shapes,
+/// reconstruction errors and window moments together — the path that
+/// dominates every auto-parameter run. No in-binary baseline; compare it
+/// with the same row built against an older tree.
+KernelRow BenchSweep(const ParameterGrid& grid, int reps) {
+  const TimeSeries series = MakePowerDemand().series;
+  const auto profiles = SweepParameterGrid(series, grid, 1);
+  bench::Check(profiles.ok() && BestProfile(*profiles).ok(),
+               "sweep: demo:power grid profiles and suggests parameters");
+  const size_t configs = profiles.ok() ? profiles->size() : 0;
+
+  KernelRow row;
+  row.name = "sweep/power_grid";
+  row.detail = StrFormat("configs=%zu n=%zu lanes=1", configs, series.size());
+  row.units = static_cast<double>(configs);
+  row.kernel_s = BestOf(reps, [&] {
+    const auto swept = SweepParameterGrid(series, grid, 1);
+    if (!swept.ok() || swept->size() != configs) {
+      std::abort();
     }
   });
   return row;
@@ -623,6 +639,7 @@ int Run(bool smoke, const std::string& out_path) {
     ParameterGrid small_grid;
     small_grid.windows = {100};
     rows.push_back(BenchSequitur(small_grid, 1));
+    rows.push_back(BenchSweep(small_grid, 1));
 
     // Backend matrix on the smoke cases: cheap, and it keeps the
     // cross-backend equality CHECKs inside the default ctest run on every
@@ -687,6 +704,7 @@ int Run(bool smoke, const std::string& out_path) {
     BenchDiscretizeBackends("ecg", ecg.series, ecg_sax, 3, &rows);
 
     rows.push_back(BenchSequitur(ParameterGrid{}, 5));
+    rows.push_back(BenchSweep(ParameterGrid{}, 5));
 
     rows.push_back(BenchObsOverhead(sine, 180, 50000, 5));
   }
@@ -761,9 +779,12 @@ int Run(bool smoke, const std::string& out_path) {
         "sequitur/power_grid: InferGrammar over the token streams of the "
         "default parameter grid on demo:power, no in-binary baseline; a "
         "parent_kernel_s field is the same row built against the previous "
-        "grammar/sequitur.cc on the same host. items = series points "
-        "(discretize), accumulated elements (distance) or tokens "
-        "(sequitur).\",\n";
+        "grammar/sequitur.cc on the same host. sweep/power_grid: "
+        "single-lane SweepParameterGrid over demo:power with the default "
+        "grid, no in-binary baseline; its parent_kernel_s is the same "
+        "row timed against the previous tree on the same host. items = "
+        "series points (discretize), accumulated elements (distance), "
+        "tokens (sequitur) or configs (sweep).\",\n";
     json += "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       json += JsonRow(rows[i]);

@@ -16,6 +16,7 @@
 #include "datasets/video.h"
 #include "grammar/grammar_printer.h"
 #include "timeseries/io.h"
+#include "util/strings.h"
 #include "viz/ascii_plot.h"
 #include "viz/report.h"
 
@@ -32,9 +33,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     series = std::move(loaded).value();
-    sax.window = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 150;
-    sax.paa_size = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 5;
-    sax.alphabet_size = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 4;
+    sax.window = 150;
+    sax.paa_size = 5;
+    sax.alphabet_size = 4;
+    size_t* const fields[] = {&sax.window, &sax.paa_size, &sax.alphabet_size};
+    const char* const names[] = {"window", "paa", "alphabet"};
+    for (int i = 2; i < argc && i < 5; ++i) {
+      if (!ParseSize(argv[i], fields[i - 2])) {
+        std::fprintf(stderr, "%s: '%s' is not a non-negative integer\n",
+                     names[i - 2], argv[i]);
+        return 2;
+      }
+    }
   } else {
     VideoOptions options;
     options.num_cycles = 26;

@@ -86,7 +86,9 @@
 #include "net/http_server.h"
 #include "obs/telemetry.h"
 #include "timeseries/io.h"
+#include "util/check.h"
 #include "util/csv.h"
+#include "util/strings.h"
 #include "viz/ascii_plot.h"
 #include "viz/report.h"
 
@@ -101,18 +103,45 @@ struct Args {
   bool has_flag(const std::string& name) const {
     return options.count(name) > 0;
   }
+  // Numeric values were checked by CheckNumericFlags before any read.
   size_t get_size(const std::string& name, size_t fallback) const {
     auto it = options.find(name);
-    return it == options.end()
-               ? fallback
-               : std::strtoul(it->second.c_str(), nullptr, 10);
+    size_t value = fallback;
+    if (it != options.end()) {
+      GVA_CHECK(ParseSize(it->second, &value)) << "--" << name;
+    }
+    return value;
   }
   double get_double(const std::string& name, double fallback) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    return it == options.end() ? fallback : ParseDouble(it->second).value();
   }
 };
+
+/// Rejects a numeric flag whose value does not parse in full: a count must
+/// be digits only (no sign, no junk, no overflow), a fraction a finite
+/// number. Prints the flag's name and returns false on the first bad one.
+bool CheckNumericFlags(const Args& args) {
+  static constexpr const char* kSizeFlags[] = {
+      "column", "window", "paa",     "alphabet",
+      "top",    "threads", "horizon", "report-every"};
+  for (const char* name : kSizeFlags) {
+    auto it = args.options.find(name);
+    size_t value = 0;
+    if (it != args.options.end() && !ParseSize(it->second, &value)) {
+      std::fprintf(stderr, "--%s: '%s' is not a non-negative integer\n", name,
+                   it->second.c_str());
+      return false;
+    }
+  }
+  auto it = args.options.find("threshold");
+  if (it != args.options.end() && !ParseDouble(it->second).ok()) {
+    std::fprintf(stderr, "--threshold: '%s' is not a finite number\n",
+                 it->second.c_str());
+    return false;
+  }
+  return true;
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -585,6 +614,9 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     return Usage();
+  }
+  if (!CheckNumericFlags(args)) {
+    return 2;
   }
   const bool quiet = args.has_flag("quiet");
 

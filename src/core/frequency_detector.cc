@@ -1,8 +1,9 @@
 #include "core/frequency_detector.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_map>
+#include <vector>
+
+#include "sax/sax_word.h"
 
 namespace gva {
 
@@ -12,10 +13,16 @@ StatusOr<FrequencyDetection> DetectRareWordAnomalies(
                        DiscretizeAllWindows(series, options.sax));
   const size_t windows = records.size();
 
-  std::unordered_map<std::string, size_t> counts;
-  counts.reserve(windows);
-  for (const std::string& word : records.words) {
-    ++counts[word];
+  SaxWordInterner interner(records.words.paa());
+  std::vector<int32_t> word_of(windows);
+  std::vector<size_t> counts;
+  for (size_t i = 0; i < windows; ++i) {
+    bool first = false;
+    word_of[i] = interner.Intern(records.words[i], &first);
+    if (first) {
+      counts.push_back(0);
+    }
+    ++counts[static_cast<size_t>(word_of[i])];
   }
 
   FrequencyDetection detection;
@@ -23,8 +30,9 @@ StatusOr<FrequencyDetection> DetectRareWordAnomalies(
   double min_support = 1.0;
   double max_support = 0.0;
   for (size_t i = 0; i < windows; ++i) {
-    detection.support[i] = static_cast<double>(counts[records.words[i]]) /
-                           static_cast<double>(windows);
+    detection.support[i] =
+        static_cast<double>(counts[static_cast<size_t>(word_of[i])]) /
+        static_cast<double>(windows);
     min_support = std::min(min_support, detection.support[i]);
     max_support = std::max(max_support, detection.support[i]);
   }

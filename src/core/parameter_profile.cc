@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <string>
-#include <unordered_map>
 
 #include "grammar/sequitur.h"
 #include "obs/trace.h"
 #include "sax/alphabet.h"
+#include "sax/sax_word.h"
 #include "timeseries/rolling_stats.h"
 #include "timeseries/sliding_window.h"
 #include "timeseries/stats.h"
@@ -31,7 +30,7 @@ std::vector<double> LetterLevels(const NormalAlphabet& alphabet) {
 }
 
 /// The mean and standard deviation of the window at every position, taken
-/// with the same Mean/StdDev calls ZNormalize makes, so a value normalized
+/// with the same MeanAndStdDev call ZNormalize makes, so a value normalized
 /// from them — (x - mean) * (1.0 / sd), or x - mean for a flat window —
 /// has exactly ZNormalize's bits. Shared by every (paa, alphabet) config of
 /// one window length.
@@ -42,6 +41,7 @@ struct WindowMoments {
 
 WindowMoments ComputeWindowMoments(std::span<const double> series,
                                    size_t window, size_t num_threads) {
+  GVA_OBS_SPAN("params.moments");
   WindowMoments moments;
   const size_t positions = NumSlidingWindows(series.size(), window);
   moments.mean.resize(positions);
@@ -49,10 +49,9 @@ WindowMoments ComputeWindowMoments(std::span<const double> series,
   ThreadPool::ParallelFor(
       num_threads, 0, positions, [&](size_t begin, size_t end, size_t) {
         for (size_t pos = begin; pos < end; ++pos) {
-          const std::span<const double> values =
-              WindowAt(series, pos, window);
-          moments.mean[pos] = Mean(values);
-          moments.sd[pos] = StdDev(values);
+          const MeanStdDev m = MeanAndStdDev(WindowAt(series, pos, window));
+          moments.mean[pos] = m.mean;
+          moments.sd[pos] = m.sd;
         }
       });
   return moments;
@@ -79,10 +78,9 @@ double ReconstructionError(std::span<const double> series,
   double total_error = 0.0;
   for (size_t i = 0; i < records.size(); ++i) {
     const size_t pos = records.offsets[i];
-    const std::string& word = records.words[i];
-    for (size_t j = 0; j < options.paa_size; ++j) {
-      word_levels[j] = levels[NormalAlphabet::IndexOfLetter(word[j])];
-    }
+    double* level = word_levels.data();
+    ForEachSaxLetter(records.words[i], options.paa_size,
+                     [&](size_t letter) { *level++ = levels[letter]; });
     const double* x = series.data() + pos;
     const double mean = moments.mean[pos];
     const double sd = moments.sd[pos];
@@ -128,10 +126,21 @@ GrammarProfile ProfileOf(const SaxOptions& options, const SaxRecords& records,
   return profile;
 }
 
+/// The word's value as a base-`base` number, first letter most
+/// significant: a dense injective id when base^paa < 2^31.
+uint32_t BaseAlphabetValue(std::span<const uint64_t> code, size_t paa,
+                           uint32_t base) {
+  uint32_t value = 0;
+  ForEachSaxLetter(code, paa, [&value, base](size_t letter) {
+    value = value * base + static_cast<uint32_t>(letter);
+  });
+  return value;
+}
+
 /// Induces the grammar of `records` and returns its shape. Sequitur only
-/// compares terminals for equality, so any injective word code yields the
+/// compares terminals for equality, so any injective word id yields the
 /// same rules: the word's base-alphabet value when alphabet^paa < 2^31,
-/// first-occurrence interning otherwise.
+/// first-occurrence interning on the code otherwise.
 GrammarShape InduceShape(const SaxRecords& records,
                          const SaxOptions& options) {
   GVA_OBS_SPAN("grammar.sequitur.induce");
@@ -143,42 +152,36 @@ GrammarShape InduceShape(const SaxRecords& records,
   IncrementalSequitur sequitur;
   if (words < kCodeLimit) {
     const auto base = static_cast<uint32_t>(options.alphabet_size);
-    for (const std::string& word : records.words) {
-      uint32_t code = 0;
-      for (char letter : word) {
-        code = code * base +
-               static_cast<uint32_t>(NormalAlphabet::IndexOfLetter(letter));
-      }
-      GVA_CHECK(sequitur.Append(static_cast<int32_t>(code)).ok());
+    for (size_t i = 0; i < records.size(); ++i) {
+      const uint32_t id =
+          BaseAlphabetValue(records.words[i], options.paa_size, base);
+      GVA_CHECK(sequitur.Append(static_cast<int32_t>(id)).ok());
     }
   } else {
-    std::unordered_map<std::string, int32_t> vocabulary;
-    for (const std::string& word : records.words) {
-      const int32_t next = static_cast<int32_t>(vocabulary.size());
-      GVA_CHECK(sequitur.Append(vocabulary.emplace(word, next).first->second)
-                    .ok());
+    SaxWordInterner vocabulary(options.paa_size);
+    for (size_t i = 0; i < records.size(); ++i) {
+      GVA_CHECK(sequitur.Append(vocabulary.Intern(records.words[i])).ok());
     }
   }
   return sequitur.Shape();
 }
 
-/// Profiles one (window, paa) group: one z-plane, read by every alphabet of
-/// the group, and one profile per alphabet written to out[0..alphabets).
-/// `base` must be valid (any alphabet) and the series at least one window
-/// long. The plane lives only for this call.
+/// Profiles one (window, paa) group: one discretization pass computes each
+/// window's z-row once and codes it under every alphabet of the group, then
+/// one profile per alphabet is written to out[0..alphabets). `base` must be
+/// valid (any alphabet) and the series at least one window long.
 Status ProfileGroup(std::span<const double> series, const RollingStats& stats,
                     const WindowMoments& moments, const SaxOptions& base,
                     std::span<const size_t> alphabets, GrammarProfile* out) {
   GVA_OBS_SPAN("params.group");
-  GVA_ASSIGN_OR_RETURN(SaxZPlane plane,
-                       ComputeSaxZPlane(series, base, &stats));
+  GVA_ASSIGN_OR_RETURN(std::vector<SaxRecords> records,
+                       DiscretizeGroup(series, base, alphabets, &stats));
   for (size_t i = 0; i < alphabets.size(); ++i) {
     SaxOptions options = base;
     options.alphabet_size = alphabets[i];
-    GVA_ASSIGN_OR_RETURN(SaxRecords records,
-                         DiscretizeWithZPlane(series, options, plane));
-    out[i] = ProfileOf(options, records, InduceShape(records, options),
-                       ReconstructionError(series, records, options, moments));
+    out[i] = ProfileOf(options, records[i], InduceShape(records[i], options),
+                       ReconstructionError(series, records[i], options,
+                                           moments));
   }
   return Status::Ok();
 }

@@ -52,9 +52,9 @@ struct ParameterGrid {
 /// skipped), in grid order: windows, then PAA sizes, then alphabets. Every
 /// profile is bit-identical to ProfileParameters on the same combination.
 /// The series statistics are built once per call, and each (window, paa)
-/// group shares one z-plane across its alphabets. `num_threads` caps the
-/// lanes the groups run on (0 = all cores); the result is identical for
-/// every value.
+/// group is discretized in one DiscretizeGroup pass over its alphabets.
+/// `num_threads` caps the lanes the groups run on (0 = all cores); the
+/// result is identical for every value.
 StatusOr<std::vector<GrammarProfile>> SweepParameterGrid(
     std::span<const double> series, const ParameterGrid& grid,
     size_t num_threads = 1);

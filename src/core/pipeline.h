@@ -31,7 +31,8 @@ StatusOr<GrammarDecomposition> DecomposeSeries(std::span<const double> series,
 
 /// The decomposition tail for callers that already discretized the series
 /// (e.g. the ensemble engine, whose substrate cache produces SaxRecords
-/// from a shared z-plane): Sequitur -> interval mapping -> density curve.
+/// from one shared DiscretizeGroup pass): Sequitur -> interval mapping ->
+/// density curve.
 /// `records` must be the discretization of `series` under `options`;
 /// given that, the result is identical to DecomposeSeries(series, options).
 StatusOr<GrammarDecomposition> DecomposeSeriesWithRecords(

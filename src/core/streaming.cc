@@ -4,33 +4,12 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "sax/mindist.h"
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace gva {
 
 namespace {
-
-/// The numerosity-reduction decision against the generation's previously
-/// kept word (paper Section 3.2) — the streaming twin of the batch loop in
-/// sax_transform.cc.
-bool KeepWord(const std::vector<std::string>& kept, const std::string& word,
-              NumerosityReduction numerosity, const NormalAlphabet& alphabet) {
-  if (kept.empty()) {
-    return true;
-  }
-  const std::string& prev = kept.back();
-  switch (numerosity) {
-    case NumerosityReduction::kNone:
-      return true;
-    case NumerosityReduction::kExact:
-      return word != prev;
-    case NumerosityReduction::kMinDist:
-      return !MinDistIsZero(word, prev, alphabet);
-  }
-  return true;
-}
 
 bool SpanBefore(const Interval& a, const Interval& b) {
   return a.start != b.start ? a.start < b.start : a.end < b.end;
@@ -96,6 +75,7 @@ StreamingAnomalyMonitor::StreamingAnomalyMonitor(
     const StreamingOptions& options)
     : options_(options),
       alphabet_(options.sax.alphabet_size),
+      code_scratch_(SaxLaneCount(options.sax.paa_size)),
       samples_counter_(&obs::GlobalMetrics().counter("stream.samples")),
       tokens_counter_(&obs::GlobalMetrics().counter("stream.tokens")),
       evictions_counter_(&obs::GlobalMetrics().counter("stream.evictions")),
@@ -141,22 +121,26 @@ void StreamingAnomalyMonitor::Push(double value) {
 
 void StreamingAnomalyMonitor::Feed(Generation& generation, double value) {
   size_t pos = 0;
-  if (!generation.discretizer.Push(value, word_scratch_, &pos)) {
+  if (!generation.discretizer.Push(value, code_scratch_.data(), &pos)) {
     return;
   }
-  if (!KeepWord(generation.words, word_scratch_, options_.sax.numerosity,
-                alphabet_)) {
+  const std::span<const uint64_t> prev =
+      generation.words.empty() ? std::span<const uint64_t>()
+                               : generation.words.back();
+  if (!KeepSaxWord(prev, code_scratch_, options_.sax.paa_size,
+                   options_.sax.numerosity, alphabet_)) {
     return;
   }
-  auto [it, inserted] = generation.vocabulary.emplace(
-      word_scratch_, static_cast<int32_t>(generation.vocabulary_list.size()));
-  if (inserted) {
-    generation.vocabulary_list.push_back(word_scratch_);
+  bool first = false;
+  const int32_t token = generation.vocabulary.Intern(code_scratch_, &first);
+  if (first) {
+    generation.vocabulary_list.push_back(
+        SaxLetters(code_scratch_, options_.sax.paa_size));
   }
-  const Status status = generation.sequitur.Append(it->second);
+  const Status status = generation.sequitur.Append(token);
   GVA_DCHECK(status.ok());
-  generation.tokens.push_back(it->second);
-  generation.words.push_back(word_scratch_);
+  generation.tokens.push_back(token);
+  generation.words.push_back(code_scratch_);
   generation.offsets.push_back(pos);
   tokens_counter_->Add(1);
 }

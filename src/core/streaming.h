@@ -2,7 +2,6 @@
 #define GVA_CORE_STREAMING_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rule_density_detector.h"
@@ -118,15 +117,20 @@ class StreamingAnomalyMonitor {
   /// the incrementally maintained density state of the last report.
   struct Generation {
     Generation(size_t start_index, const SaxOptions& sax)
-        : start(start_index), discretizer(sax) {}
+        : start(start_index),
+          discretizer(sax),
+          words(sax.paa_size),
+          vocabulary(sax.paa_size) {}
 
     size_t start;
     OnlineSaxDiscretizer discretizer;
-    std::vector<std::string> words;
+    SaxWords words;
     std::vector<size_t> offsets;  // window starts, relative to `start`
     std::vector<int32_t> tokens;
+    // Interned on the code; each distinct word is rendered once, into
+    // vocabulary_list, for the grammar a report hands out.
+    SaxWordInterner vocabulary;
     std::vector<std::string> vocabulary_list;
-    std::unordered_map<std::string, int32_t> vocabulary;
     IncrementalSequitur sequitur;
     // Density curve as of the last Report() on this generation, plus the
     // sorted interval spans it was built from; the next Report() applies
@@ -145,7 +149,7 @@ class StreamingAnomalyMonitor {
   size_t generations_evicted_ = 0;
   // Oldest generation first; at most two are live with a positive horizon.
   std::vector<Generation> generations_;
-  std::string word_scratch_;
+  std::vector<uint64_t> code_scratch_;
   // Registry-owned counters (stable addresses), so the monitor stays
   // movable while hot paths skip the registry lock.
   obs::Counter* samples_counter_;

@@ -1,13 +1,12 @@
 #include "discord/hotsax.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "discord/distance.h"
 #include "discord/parallel_search.h"
 #include "obs/trace.h"
+#include "sax/sax_word.h"
 #include "timeseries/sliding_window.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -35,9 +34,8 @@ struct RoundProgress {
 /// has a finite nearest-neighbor distance.
 bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
                      const std::vector<size_t>& outer_order,
-                     const std::unordered_map<std::string,
-                                              std::vector<size_t>>& buckets,
-                     const std::vector<const std::string*>& word_of,
+                     const std::vector<std::vector<size_t>>& buckets,
+                     const std::vector<int32_t>& word_of,
                      const std::vector<size_t>& inner_random,
                      const std::vector<char>& excluded, size_t num_threads,
                      obs::BestSoFarLog& trajectory, RoundProgress* progress,
@@ -79,7 +77,8 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
       };
 
       // Heuristic inner ordering: same-word positions first...
-      const std::vector<size_t>& same_word = buckets.at(*word_of[p]);
+      const std::vector<size_t>& same_word =
+          buckets[static_cast<size_t>(word_of[p])];
       for (size_t q : same_word) {
         if (q != p && !visit(q)) {
           break;
@@ -88,7 +87,7 @@ bool FindBestDiscord(const SubsequenceDistance& dist, size_t window,
       // ... then everything else in (pre-shuffled) random order.
       if (!pruned) {
         for (size_t q : inner_random) {
-          if (*word_of[q] == *word_of[p]) {
+          if (word_of[q] == word_of[p]) {
             continue;  // already visited through the bucket
           }
           if (!visit(q)) {
@@ -149,15 +148,18 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   GVA_ASSIGN_OR_RETURN(SaxRecords records, std::move(discretized));
   const size_t candidates = records.size();
 
-  // Word buckets: word -> positions, in index order.
-  std::unordered_map<std::string, std::vector<size_t>> buckets;
-  buckets.reserve(candidates);
+  // Word buckets: each position's interned word id, and id -> positions
+  // in index order.
+  SaxWordInterner interner(records.words.paa());
+  std::vector<int32_t> word_of(candidates);
+  std::vector<std::vector<size_t>> buckets;
   for (size_t i = 0; i < candidates; ++i) {
-    buckets[records.words[i]].push_back(i);
-  }
-  std::vector<const std::string*> word_of(candidates);
-  for (size_t i = 0; i < candidates; ++i) {
-    word_of[i] = &records.words[i];
+    bool first = false;
+    word_of[i] = interner.Intern(records.words[i], &first);
+    if (first) {
+      buckets.emplace_back();
+    }
+    buckets[static_cast<size_t>(word_of[i])].push_back(i);
   }
 
   Rng rng(options.seed);
@@ -171,8 +173,8 @@ StatusOr<DiscordResult> FindDiscordsHotSax(std::span<const double> series,
   rng.Shuffle(outer_order);
   std::stable_sort(outer_order.begin(), outer_order.end(),
                    [&](size_t a, size_t b) {
-                     return buckets.at(*word_of[a]).size() <
-                            buckets.at(*word_of[b]).size();
+                     return buckets[static_cast<size_t>(word_of[a])].size() <
+                            buckets[static_cast<size_t>(word_of[b])].size();
                    });
 
   // Shared random inner ordering.

@@ -19,7 +19,7 @@ namespace gva {
 namespace {
 
 /// Substrate-cache key: the alphabet-independent part of a config. Two
-/// configs with the same key share one SaxZPlane.
+/// configs with the same key share one DiscretizeGroup pass.
 using PlaneKey = std::pair<size_t, size_t>;  // (window, paa_size)
 
 PlaneKey KeyOf(const EnsembleConfig& config) {
@@ -228,30 +228,23 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
   const size_t lanes = options.num_threads;
 
   // Phase A (substrate): one RollingStats prefix-sum table for the series,
-  // then one SaxZPlane per distinct (window, paa) key, rows computed on the
-  // shared pool. Alphabet-only-differing configs share a plane — that
-  // sharing is the cache, and its accounting is deterministic by
-  // construction.
+  // then one DiscretizeGroup pass per distinct (window, paa) key over the
+  // alphabets of its configs, keys spread over the shared pool. Sharing a
+  // pass is the cache: the canonically-first config of a key owns the miss,
+  // every other config of the key is a hit, so the accounting is
+  // deterministic by construction.
   std::optional<RollingStats> stats;
-  std::map<PlaneKey, SaxZPlane> planes;
-  std::map<PlaneKey, Status> plane_errors;
+  std::vector<SaxRecords> records(configs.size());
+  std::map<PlaneKey, Status> key_errors;
   if (options.share_substrate) {
     GVA_OBS_SPAN("ensemble.substrate");
     stats.emplace(series);
+    std::map<PlaneKey, std::vector<size_t>> members;  // canonical order
     for (size_t idx : canonical) {
-      const PlaneKey key = KeyOf(configs[idx]);
-      const bool first_for_key =
-          planes.find(key) == planes.end() &&
-          plane_errors.find(key) == plane_errors.end();
+      std::vector<size_t>& member = members[KeyOf(configs[idx])];
+      const bool first_for_key = member.empty();
+      member.push_back(idx);
       if (first_for_key) {
-        StatusOr<SaxZPlane> plane =
-            ComputeSaxZPlane(series, options.SaxFor(configs[idx]), &*stats,
-                             lanes);
-        if (plane.ok()) {
-          planes.emplace(key, std::move(plane).value());
-        } else {
-          plane_errors.emplace(key, plane.status());
-        }
         out.cache_misses += 1;
         cache_miss_counter.Add(1);
       } else {
@@ -259,6 +252,35 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
         cache_hit_counter.Add(1);
       }
       out.configs[idx].cache_hit = !first_for_key;
+    }
+    std::vector<std::vector<size_t>> groups;  // one member list per key
+    for (auto& [key, member] : members) {
+      groups.push_back(std::move(member));
+    }
+    std::vector<Status> errors(groups.size());
+    ThreadPool::ParallelFor(
+        lanes, 0, groups.size(), [&](size_t begin, size_t end, size_t) {
+          for (size_t g = begin; g < end; ++g) {
+            std::vector<size_t> alphabets;
+            for (size_t idx : groups[g]) {
+              alphabets.push_back(configs[idx].alphabet_size);
+            }
+            StatusOr<std::vector<SaxRecords>> group =
+                DiscretizeGroup(series, options.SaxFor(configs[groups[g][0]]),
+                                alphabets, &*stats);
+            if (!group.ok()) {
+              errors[g] = group.status();
+              continue;
+            }
+            for (size_t j = 0; j < groups[g].size(); ++j) {
+              records[groups[g][j]] = std::move((*group)[j]);
+            }
+          }
+        });
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (!errors[g].ok()) {
+        key_errors.emplace(KeyOf(configs[groups[g][0]]), errors[g]);
+      }
     }
   }
 
@@ -279,16 +301,12 @@ StatusOr<EnsembleDetection> RunEnsemble(std::span<const double> series,
               if (!options.share_substrate) {
                 return DecomposeSeries(series, sax);
               }
-              auto plane_error = plane_errors.find(KeyOf(slot.config));
-              if (plane_error != plane_errors.end()) {
-                return plane_error->second;
+              auto key_error = key_errors.find(KeyOf(slot.config));
+              if (key_error != key_errors.end()) {
+                return key_error->second;
               }
-              GVA_ASSIGN_OR_RETURN(
-                  SaxRecords records,
-                  DiscretizeWithZPlane(series, sax,
-                                       planes.at(KeyOf(slot.config))));
               return DecomposeSeriesWithRecords(series, sax,
-                                                std::move(records));
+                                                std::move(records[idx]));
             }();
             slot.wall_us = ElapsedMicros(start);
             config_us_counter.Add(slot.wall_us);

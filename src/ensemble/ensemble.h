@@ -52,13 +52,15 @@ struct EnsembleOptions {
   /// Interval extraction over the aggregated score: threshold fraction,
   /// minimum length, edge exclusion, and top-k (max_anomalies).
   DensityAnomalyOptions anomaly;
-  /// Concurrency lanes for the per-config outer loop (one task per config,
-  /// nested row-parallelism inside the shared z-plane builds); 0 = all
-  /// hardware threads. Results are bit-identical for every value.
+  /// Concurrency lanes for the shared discretization passes (one task per
+  /// (window, paa) key) and the per-config outer loop (one task per
+  /// config); 0 = all hardware threads. Results are bit-identical for every
+  /// value.
   size_t num_threads = 1;
   /// Share substrate across configs: one RollingStats prefix-sum per
-  /// series, plus a keyed z-plane cache so configs that differ only in
-  /// alphabet skip the O(n * paa) PAA recomputation. Turning this off runs
+  /// series, plus one DiscretizeGroup pass per (window, paa) key so configs
+  /// that differ only in alphabet share each window's O(paa) z-row.
+  /// Turning this off runs
   /// each config through the plain single-query pipeline — same results,
   /// used as the baseline by bench/ensemble_bench.
   bool share_substrate = true;
@@ -84,7 +86,7 @@ struct EnsembleConfigResult {
   /// Wall-clock microseconds the config's pipeline took (also accumulated
   /// into the `ensemble.config.us` counter).
   uint64_t wall_us = 0;
-  /// Whether the config's SAX z-plane came out of the substrate cache
+  /// Whether the config rode on another config's discretization pass
   /// (true for every config after the canonically-first one per
   /// (window, paa) key; always false without substrate sharing).
   bool cache_hit = false;
@@ -113,7 +115,9 @@ struct EnsembleDetection {
   std::vector<EnsembleAnomaly> anomalies;
   /// Number of configs that contributed to `score`.
   size_t configs_used = 0;
-  /// Substrate-cache accounting (z-plane reuse across configs).
+  /// Substrate-cache accounting (discretization passes shared across
+  /// configs: one miss per (window, paa) key, a hit for every other config
+  /// of the key).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Largest successful window — the edge-exclusion margin used for the

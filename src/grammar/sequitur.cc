@@ -646,6 +646,22 @@ StatusOr<Grammar> InferGrammar(std::span<const int32_t> tokens) {
   return sequitur.ExtractGrammar();
 }
 
+StatusOr<WordGrammar> InferGrammarFromWords(const SaxWords& words) {
+  WordGrammar result;
+  SaxWordInterner interner(words.paa());
+  result.tokens.reserve(words.size());
+  for (size_t i = 0; i < words.size(); ++i) {
+    result.tokens.push_back(interner.Intern(words[i]));
+  }
+  const SaxWords& distinct = interner.words();
+  result.vocabulary.reserve(distinct.size());
+  for (size_t t = 0; t < distinct.size(); ++t) {
+    result.vocabulary.push_back(distinct.Letters(t));
+  }
+  GVA_ASSIGN_OR_RETURN(result.grammar, InferGrammar(result.tokens));
+  return result;
+}
+
 StatusOr<WordGrammar> InferGrammarFromWords(
     const std::vector<std::string>& words) {
   WordGrammar result;

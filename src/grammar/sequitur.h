@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "grammar/grammar.h"
+#include "sax/sax_word.h"
 #include "util/statusor.h"
 
 namespace gva {
@@ -68,8 +69,9 @@ class IncrementalSequitur {
 /// single empty R0.
 StatusOr<Grammar> InferGrammar(std::span<const int32_t> tokens);
 
-/// A grammar induced over a string vocabulary (e.g. SAX words): tokens are
-/// vocabulary indices, `vocabulary[t]` is the word for terminal t.
+/// A grammar induced over a word vocabulary (e.g. SAX words): tokens are
+/// vocabulary indices, `vocabulary[t]` is the text of terminal t — the
+/// one place a SAX word exists as a string, once per distinct word.
 struct WordGrammar {
   Grammar grammar;
   std::vector<std::string> vocabulary;
@@ -82,8 +84,12 @@ struct WordGrammar {
   }
 };
 
-/// Tokenizes `words` against a fresh vocabulary (first occurrence order) and
-/// infers the grammar.
+/// Tokenizes the packed SAX words `words` against a fresh vocabulary (first
+/// occurrence order, interned on the code) and infers the grammar. Each
+/// distinct word is rendered once into the vocabulary.
+StatusOr<WordGrammar> InferGrammarFromWords(const SaxWords& words);
+
+/// The same over arbitrary text tokens (first occurrence order).
 StatusOr<WordGrammar> InferGrammarFromWords(
     const std::vector<std::string>& words);
 

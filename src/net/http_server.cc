@@ -26,17 +26,8 @@ bool SetNonBlocking(int fd) {
 }  // namespace
 
 bool ParsePort(std::string_view text, uint16_t* port) {
-  if (text.empty() || text.size() > 5) {
-    return false;
-  }
-  uint32_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint32_t>(c - '0');
-  }
-  if (value > 65535) {
+  size_t value = 0;
+  if (!ParseSize(text, &value) || value > 65535) {
     return false;
   }
   *port = static_cast<uint16_t>(value);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sax/sax_word.h"
 #include "util/check.h"
 
 namespace gva {
@@ -22,12 +23,12 @@ double MinDist(std::string_view a, std::string_view b, size_t original_length,
   return scale * std::sqrt(sum_sq);
 }
 
-bool MinDistIsZero(std::string_view a, std::string_view b,
-                   const NormalAlphabet& alphabet) {
+bool MinDistIsZero(std::span<const uint64_t> a, std::span<const uint64_t> b,
+                   size_t paa, const NormalAlphabet& alphabet) {
   GVA_CHECK_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (alphabet.CellDistance(NormalAlphabet::IndexOfLetter(a[i]),
-                              NormalAlphabet::IndexOfLetter(b[i])) > 0.0) {
+  for (size_t j = 0; j < paa; ++j) {
+    if (alphabet.CellDistance(SaxLetterAt(a, paa, j),
+                              SaxLetterAt(b, paa, j)) > 0.0) {
       return false;
     }
   }

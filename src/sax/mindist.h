@@ -1,6 +1,8 @@
 #ifndef GVA_SAX_MINDIST_H_
 #define GVA_SAX_MINDIST_H_
 
+#include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "sax/alphabet.h"
@@ -16,10 +18,11 @@ namespace gva {
 double MinDist(std::string_view a, std::string_view b, size_t original_length,
                const NormalAlphabet& alphabet);
 
-/// True when MINDIST is exactly zero, i.e. every letter pair differs by at
-/// most one alphabet position. Used by NumerosityReduction::kMinDist.
-bool MinDistIsZero(std::string_view a, std::string_view b,
-                   const NormalAlphabet& alphabet);
+/// True when MINDIST between the packed words `a` and `b` of `paa` letters
+/// is exactly zero, i.e. every letter pair differs by at most one alphabet
+/// position. Used by NumerosityReduction::kMinDist.
+bool MinDistIsZero(std::span<const uint64_t> a, std::span<const uint64_t> b,
+                   size_t paa, const NormalAlphabet& alphabet);
 
 }  // namespace gva
 

@@ -7,12 +7,10 @@
 
 #include "backend/backend.h"
 #include "obs/trace.h"
-#include "sax/mindist.h"
 #include "sax/paa.h"
 #include "timeseries/rolling_stats.h"
 #include "timeseries/sliding_window.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace gva {
 
@@ -40,46 +38,21 @@ Status SaxOptions::Validate() const {
   return Status::Ok();
 }
 
-std::string SaxWordForWindow(std::span<const double> window,
-                             const SaxOptions& opts,
-                             const NormalAlphabet& alphabet) {
+void SaxWordForWindow(std::span<const double> window, const SaxOptions& opts,
+                      const NormalAlphabet& alphabet, uint64_t* code) {
   thread_local std::vector<double> normalized;
   thread_local std::vector<double> paa;
   ZNormalize(window, normalized, opts.znorm_epsilon);
   Paa(normalized, opts.paa_size, paa);
-  std::string word(opts.paa_size, 'a');
-  for (size_t i = 0; i < paa.size(); ++i) {
-    word[i] = alphabet.LetterOf(paa[i]);
+  std::fill(code, code + SaxLaneCount(opts.paa_size), uint64_t{0});
+  for (size_t j = 0; j < paa.size(); ++j) {
+    AppendSaxLetter(code, j, alphabet.IndexOf(paa[j]));
   }
-  return word;
 }
 
 namespace {
 
 constexpr double kMachEps = std::numeric_limits<double>::epsilon();
-
-/// Maps a row of z-space PAA values to letters under `alphabet`, guarding
-/// each value against the breakpoints adjacent to its chosen region: the
-/// reference path's value differs from z[j] by at most err[j], so a value
-/// that close to a cut could land on the other side there. Returns false
-/// when any guard fires (caller must use the reference path). Shared by the
-/// inline fast path and the precomputed-plane path so their decisions are
-/// identical by construction.
-bool MapLettersFromZ(const double* z, const double* err, size_t paa,
-                     const NormalAlphabet& alphabet, std::string& word) {
-  const auto& cuts = alphabet.breakpoints();
-  for (size_t j = 0; j < paa; ++j) {
-    const size_t idx = alphabet.IndexOf(z[j]);
-    if (idx > 0 && z[j] - cuts[idx - 1] <= err[j]) {
-      return false;
-    }
-    if (idx < cuts.size() && cuts[idx] - z[j] <= err[j]) {
-      return false;
-    }
-    word[j] = NormalAlphabet::IndexFor('a', idx);
-  }
-  return true;
-}
 
 /// Weighted raw-value sum of the fractional segment `seg` of the window at
 /// `pos`, mirroring the exact-PAA overlap weights of Paa(). `*err` receives
@@ -115,7 +88,7 @@ double FractionalSegmentSum(const Source& src, size_t pos,
 }
 
 /// The alphabet-independent fast path, shared verbatim by the batch
-/// (IncrementalDiscretizer) and online (OnlineSaxDiscretizer) kernels so
+/// (DiscretizeGroup) and online (OnlineSaxDiscretizer) kernels so
 /// their guard decisions and emitted z values use the same arithmetic.
 /// Computes the z-space PAA values and conservative error bounds of the
 /// window at `pos` into z[0..paa) / err[0..paa). Returns false when the
@@ -254,62 +227,32 @@ struct RingSource {
   }
 };
 
-/// The numerosity-reduction decision (paper Section 3.2): whether `word`
-/// is recorded given the previously recorded word. Shared by the inline
-/// and precomputed-plane discretization loops.
-bool KeepWord(const SaxRecords& records, const std::string& word,
-              NumerosityReduction numerosity, const NormalAlphabet& alphabet) {
-  if (records.words.empty()) {
-    return true;
-  }
-  const std::string& prev = records.words.back();
-  switch (numerosity) {
-    case NumerosityReduction::kNone:
-      return true;
-    case NumerosityReduction::kExact:
-      return word != prev;
-    case NumerosityReduction::kMinDist:
-      return !MinDistIsZero(word, prev, alphabet);
-  }
-  return true;
-}
+}  // namespace
 
-StatusOr<SaxRecords> DiscretizeImpl(std::span<const double> series,
-                                    const SaxOptions& opts,
-                                    NumerosityReduction numerosity) {
-  GVA_RETURN_IF_ERROR(opts.Validate());
-  if (series.size() < opts.window) {
-    return Status::InvalidArgument(
-        StrFormat("series length %zu shorter than window %zu", series.size(),
-                  opts.window));
+SaxLetterMap::SaxLetterMap(std::span<const size_t> alphabets) {
+  GVA_CHECK(!alphabets.empty());
+  std::vector<NormalAlphabet> each;
+  for (const size_t a : alphabets) {
+    each.emplace_back(a);
+    cuts_.insert(cuts_.end(), each.back().breakpoints().begin(),
+                 each.back().breakpoints().end());
   }
-  const NormalAlphabet alphabet(opts.alphabet_size);
-  const size_t windows = NumSlidingWindows(series.size(), opts.window);
-  // The discretizer's constructor builds the rolling-moment (z-norm) table;
-  // the loop below is the word extraction proper. Separate spans let a
-  // trace show where discretization time actually goes.
-  auto discretizer = [&] {
-    GVA_OBS_SPAN("sax.znorm_stats");
-    return IncrementalDiscretizer(series, opts, alphabet);
-  }();
-  GVA_OBS_SPAN("sax.words");
-  SaxRecords records;
-  records.words.reserve(windows);
-  records.offsets.reserve(windows);
-  // One flat buffer reused for every window; only kept words are copied
-  // into the records.
-  std::string word(opts.paa_size, 'a');
-  for (size_t pos = 0; pos < windows; ++pos) {
-    discretizer.WordAt(pos, word);
-    if (KeepWord(records, word, numerosity, alphabet)) {
-      records.words.push_back(word);
-      records.offsets.push_back(pos);
+  std::sort(cuts_.begin(), cuts_.end());
+  cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
+  cuts_.insert(cuts_.begin(), -std::numeric_limits<double>::infinity());
+  cuts_.push_back(std::numeric_limits<double>::infinity());
+  // Position p holds the values in [cuts_[p], cuts_[p + 1]); its letter
+  // under an alphabet is the number of that alphabet's cuts at or below
+  // cuts_[p].
+  for (const NormalAlphabet& alphabet : each) {
+    for (size_t p = 0; p + 1 < cuts_.size(); ++p) {
+      letters_.push_back(static_cast<uint8_t>(
+          std::upper_bound(alphabet.breakpoints().begin(),
+                           alphabet.breakpoints().end(), cuts_[p]) -
+          alphabet.breakpoints().begin()));
     }
   }
-  return records;
 }
-
-}  // namespace
 
 SaxPaaGeometry::SaxPaaGeometry(const SaxOptions& opts)
     : window(opts.window),
@@ -331,45 +274,10 @@ SaxPaaGeometry::SaxPaaGeometry(const SaxOptions& opts)
   }
 }
 
-IncrementalDiscretizer::IncrementalDiscretizer(
-    std::span<const double> series, const SaxOptions& opts,
-    const NormalAlphabet& alphabet, const RollingStats* shared_stats,
-    const backend::KernelBackend* kernel_backend)
-    : series_(series),
-      owned_stats_(shared_stats == nullptr
-                       ? std::optional<RollingStats>(std::in_place, series)
-                       : std::nullopt),
-      stats_(shared_stats != nullptr ? shared_stats : &*owned_stats_),
-      opts_(opts),
-      alphabet_(alphabet),
-      backend_(kernel_backend != nullptr ? kernel_backend
-                                         : &backend::ActiveBackend()),
-      geometry_(opts) {}
-
-void IncrementalDiscretizer::WordAt(size_t pos, std::string& word) {
-  if (!FastWordAt(pos, word)) {
-    word = SaxWordForWindow(WindowAt(series_, pos, geometry_.window), opts_,
-                            alphabet_);
-  }
-}
-
-bool IncrementalDiscretizer::ZRowAt(size_t pos, double* z, double* err) const {
-  const SpanSource src{series_, stats_, backend_};
-  return ZRowFromSource(src, geometry_, opts_.znorm_epsilon, pos, z, err);
-}
-
-bool IncrementalDiscretizer::FastWordAt(size_t pos, std::string& word) const {
-  thread_local std::vector<double> z;
-  thread_local std::vector<double> err;
-  z.resize(geometry_.paa);
-  err.resize(geometry_.paa);
-  return ZRowAt(pos, z.data(), err.data()) &&
-         MapLettersFromZ(z.data(), err.data(), geometry_.paa, alphabet_, word);
-}
-
 OnlineSaxDiscretizer::OnlineSaxDiscretizer(const SaxOptions& opts)
     : opts_(opts),
       alphabet_(opts.alphabet_size),
+      letters_({&opts.alphabet_size, 1}),
       geometry_(opts),
       // Rebasing every 8 windows keeps the prefix magnitudes — and with
       // them the guard bounds — proportional to one window of data, at an
@@ -380,17 +288,17 @@ OnlineSaxDiscretizer::OnlineSaxDiscretizer(const SaxOptions& opts)
       psumsq_(opts.window + 1, 0.0),
       scratch_(opts.window, 0.0),
       zrow_(opts.paa_size, 0.0),
-      zerr_(opts.paa_size, 0.0) {}
+      zerr_(opts.paa_size, 0.0),
+      located_(opts.paa_size, 0) {}
 
-bool OnlineSaxDiscretizer::Push(double value, std::string& word, size_t* pos) {
+bool OnlineSaxDiscretizer::Push(double value, uint64_t* code, size_t* pos) {
   const size_t w = opts_.window;
   const size_t m = w + 1;
   if (pushed_ >= w && pushed_ % rebase_period_ == 0) {
     // Rebase: rebuild the retained prefix entries from the ring so prefix
     // magnitudes restart from zero. Which window values the fast path sees
-    // changes only within the guard bounds, so emitted words — always
-    // byte-identical to the reference — do not depend on the rebase
-    // schedule.
+    // changes only within the guard bounds, so emitted codes — always
+    // identical to the reference — do not depend on the rebase schedule.
     const size_t base = pushed_ - w;
     psum_[base % m] = 0.0;
     psumsq_[base % m] = 0.0;
@@ -410,122 +318,139 @@ bool OnlineSaxDiscretizer::Push(double value, std::string& word, size_t* pos) {
   }
   const size_t at = pushed_ - w;
   *pos = at;
-  word.resize(opts_.paa_size);
-  if (!FastWordAt(at, word)) {
+  const RingSource src{&ring_, &psum_, &psumsq_, w};
+  if (ZRowFromSource(src, geometry_, opts_.znorm_epsilon, at, zrow_.data(),
+                     zerr_.data()) &&
+      letters_.Locate(zrow_.data(), zerr_.data(), geometry_.paa,
+                      located_.data())) {
+    letters_.Code(0, located_.data(), geometry_.paa, code);
+  } else {
     // Materialize the window from the ring for the reference path. The w
     // consecutive stream indices [at, at + w) occupy each ring slot
     // exactly once.
     for (size_t i = 0; i < w; ++i) {
       scratch_[i] = ring_[(at + i) % w];
     }
-    word = SaxWordForWindow(scratch_, opts_, alphabet_);
+    SaxWordForWindow(scratch_, opts_, alphabet_, code);
     ++fallback_words_;
   }
   return true;
 }
 
-bool OnlineSaxDiscretizer::FastWordAt(size_t pos, std::string& word) {
-  const RingSource src{&ring_, &psum_, &psumsq_, opts_.window};
-  return ZRowFromSource(src, geometry_, opts_.znorm_epsilon, pos, zrow_.data(),
-                        zerr_.data()) &&
-         MapLettersFromZ(zrow_.data(), zerr_.data(), geometry_.paa, alphabet_,
-                         word);
+StatusOr<std::vector<SaxRecords>> DiscretizeGroup(
+    std::span<const double> series, const SaxOptions& base,
+    std::span<const size_t> alphabets, const RollingStats* stats) {
+  std::vector<NormalAlphabet> letters;
+  letters.reserve(alphabets.size());
+  SaxOptions options = base;
+  for (const size_t a : alphabets) {
+    options.alphabet_size = a;
+    GVA_RETURN_IF_ERROR(options.Validate());
+    letters.emplace_back(a);
+  }
+  if (alphabets.empty()) {
+    return std::vector<SaxRecords>{};
+  }
+  if (series.size() < base.window) {
+    return Status::InvalidArgument(
+        StrFormat("series length %zu shorter than window %zu", series.size(),
+                  base.window));
+  }
+  if (stats != nullptr && stats->size() != series.size()) {
+    return Status::InvalidArgument(
+        StrFormat("shared RollingStats covers %zu points, series has %zu",
+                  stats->size(), series.size()));
+  }
+  // The rolling-moment (z-norm) table, unless the caller shares one; the
+  // loop below is the word extraction proper. Separate spans let a trace
+  // show where discretization time actually goes.
+  std::optional<RollingStats> owned;
+  if (stats == nullptr) {
+    GVA_OBS_SPAN("sax.znorm_stats");
+    stats = &owned.emplace(series);
+  }
+  GVA_OBS_SPAN("sax.words");
+  const SaxPaaGeometry geometry(base);
+  const SpanSource src{series, stats, &backend::ActiveBackend()};
+  const size_t windows = NumSlidingWindows(series.size(), base.window);
+  const size_t paa = base.paa_size;
+  const size_t lanes = SaxLaneCount(paa);
+  const SaxLetterMap map(alphabets);
+  // Per alphabet, every window's code is written straight into the next
+  // free slot, and the slot is claimed (kept += 1) only when numerosity
+  // reduction keeps the word, so the keep decision is arithmetic, not a
+  // branch on the data.
+  struct Output {
+    std::vector<uint64_t> codes;  // `windows` slots of `lanes` lanes
+    std::vector<size_t> offsets;  // `windows` slots
+    size_t kept = 0;
+  };
+  std::vector<Output> outputs(alphabets.size());
+  for (Output& o : outputs) {
+    o.codes.resize(windows * lanes);
+    o.offsets.resize(windows);
+  }
+  // Rows go in blocks: each row's z values are computed and located once,
+  // then each alphabet codes the whole block in a tight loop of its own.
+  constexpr size_t kBlock = 256;
+  std::vector<double> z(paa);
+  std::vector<double> err(paa);
+  std::vector<uint16_t> located(kBlock * paa);
+  std::vector<uint8_t> fast(kBlock);
+  for (size_t begin = 0; begin < windows; begin += kBlock) {
+    const size_t rows = std::min(kBlock, windows - begin);
+    for (size_t r = 0; r < rows; ++r) {
+      fast[r] = ZRowFromSource(src, geometry, base.znorm_epsilon, begin + r,
+                               z.data(), err.data()) &&
+                map.Locate(z.data(), err.data(), paa, &located[r * paa]);
+    }
+    for (size_t i = 0; i < alphabets.size(); ++i) {
+      uint64_t* codes = outputs[i].codes.data();
+      size_t* offsets = outputs[i].offsets.data();
+      size_t kept = outputs[i].kept;
+      for (size_t r = 0; r < rows; ++r) {
+        uint64_t* slot = codes + kept * lanes;
+        if (fast[r] != 0) {
+          map.Code(i, &located[r * paa], paa, slot);
+        } else {
+          options.alphabet_size = alphabets[i];
+          SaxWordForWindow(WindowAt(series, begin + r, base.window), options,
+                           letters[i], slot);
+        }
+        const std::span<const uint64_t> prev =
+            kept == 0 ? std::span<const uint64_t>()
+                      : std::span<const uint64_t>(slot - lanes, lanes);
+        offsets[kept] = begin + r;
+        kept += static_cast<size_t>(KeepSaxWord(
+            prev, {slot, lanes}, paa, base.numerosity, letters[i]));
+      }
+      outputs[i].kept = kept;
+    }
+  }
+  std::vector<SaxRecords> out(alphabets.size());
+  for (size_t i = 0; i < alphabets.size(); ++i) {
+    Output& o = outputs[i];
+    o.codes.resize(o.kept * lanes);
+    o.offsets.resize(o.kept);
+    out[i].words = SaxWords(paa, std::move(o.codes));
+    out[i].offsets = std::move(o.offsets);
+  }
+  return out;
 }
 
 StatusOr<SaxRecords> Discretize(std::span<const double> series,
                                 const SaxOptions& opts) {
-  return DiscretizeImpl(series, opts, opts.numerosity);
+  GVA_ASSIGN_OR_RETURN(
+      std::vector<SaxRecords> records,
+      DiscretizeGroup(series, opts, {&opts.alphabet_size, 1}));
+  return std::move(records.front());
 }
 
 StatusOr<SaxRecords> DiscretizeAllWindows(std::span<const double> series,
                                           const SaxOptions& opts) {
-  return DiscretizeImpl(series, opts, NumerosityReduction::kNone);
-}
-
-StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
-                                     const SaxOptions& opts,
-                                     const RollingStats* shared_stats,
-                                     size_t num_threads) {
-  GVA_RETURN_IF_ERROR(opts.Validate());
-  if (series.size() < opts.window) {
-    return Status::InvalidArgument(
-        StrFormat("series length %zu shorter than window %zu", series.size(),
-                  opts.window));
-  }
-  if (shared_stats != nullptr && shared_stats->size() != series.size()) {
-    return Status::InvalidArgument(
-        StrFormat("shared RollingStats covers %zu points, series has %zu",
-                  shared_stats->size(), series.size()));
-  }
-  GVA_OBS_SPAN("sax.zplane");
-  const NormalAlphabet alphabet(opts.alphabet_size);
-  const IncrementalDiscretizer discretizer(series, opts, alphabet,
-                                           shared_stats);
-  SaxZPlane plane;
-  plane.window = opts.window;
-  plane.paa_size = opts.paa_size;
-  plane.znorm_epsilon = opts.znorm_epsilon;
-  plane.positions = NumSlidingWindows(series.size(), opts.window);
-  plane.z.resize(plane.positions * plane.paa_size);
-  plane.z_err.resize(plane.positions * plane.paa_size);
-  plane.fallback.assign(plane.positions, 0);
-  const auto rows = [&](size_t row_begin, size_t row_end, size_t /*chunk*/) {
-    for (size_t pos = row_begin; pos < row_end; ++pos) {
-      double* z = plane.z.data() + pos * plane.paa_size;
-      double* err = plane.z_err.data() + pos * plane.paa_size;
-      if (!discretizer.ZRowAt(pos, z, err)) {
-        plane.fallback[pos] = 1;
-      }
-    }
-  };
-  // Rows are independent pure functions of the prefix sums, so the plane is
-  // bit-identical for every thread count.
-  ThreadPool::ParallelFor(num_threads, 0, plane.positions, rows);
-  for (const uint8_t f : plane.fallback) {
-    plane.fallback_rows += f;
-  }
-  return plane;
-}
-
-StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
-                                          const SaxOptions& opts,
-                                          const SaxZPlane& plane) {
-  GVA_RETURN_IF_ERROR(opts.Validate());
-  if (series.size() < opts.window) {
-    return Status::InvalidArgument(
-        StrFormat("series length %zu shorter than window %zu", series.size(),
-                  opts.window));
-  }
-  const size_t windows = NumSlidingWindows(series.size(), opts.window);
-  if (!plane.Matches(opts) || plane.positions != windows) {
-    return Status::InvalidArgument(StrFormat(
-        "z-plane geometry (w=%zu paa=%zu eps=%g rows=%zu) does not match "
-        "options (w=%zu paa=%zu eps=%g rows=%zu)",
-        plane.window, plane.paa_size, plane.znorm_epsilon, plane.positions,
-        opts.window, opts.paa_size, opts.znorm_epsilon, windows));
-  }
-  GVA_OBS_SPAN("sax.words");
-  const NormalAlphabet alphabet(opts.alphabet_size);
-  SaxRecords records;
-  records.words.reserve(windows);
-  records.offsets.reserve(windows);
-  std::string word(opts.paa_size, 'a');
-  for (size_t pos = 0; pos < windows; ++pos) {
-    const bool fast =
-        plane.fallback[pos] == 0 &&
-        MapLettersFromZ(plane.z.data() + pos * plane.paa_size,
-                        plane.z_err.data() + pos * plane.paa_size,
-                        plane.paa_size, alphabet, word);
-    if (!fast) {
-      word = SaxWordForWindow(WindowAt(series, pos, opts.window), opts,
-                              alphabet);
-    }
-    if (KeepWord(records, word, opts.numerosity, alphabet)) {
-      records.words.push_back(word);
-      records.offsets.push_back(pos);
-    }
-  }
-  return records;
+  SaxOptions all = opts;
+  all.numerosity = NumerosityReduction::kNone;
+  return Discretize(series, all);
 }
 
 }  // namespace gva

@@ -2,22 +2,18 @@
 #define GVA_SAX_SAX_TRANSFORM_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sax/alphabet.h"
+#include "sax/mindist.h"
+#include "sax/sax_word.h"
 #include "timeseries/rolling_stats.h"
 #include "timeseries/znorm.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
 namespace gva {
-
-namespace backend {
-struct KernelBackend;
-}  // namespace backend
 
 /// How consecutive identical SAX words are collapsed (paper Section 3.2).
 enum class NumerosityReduction {
@@ -49,26 +45,61 @@ struct SaxOptions {
   Status Validate() const;
 };
 
-/// Result of sliding-window discretization: a sequence of SAX words together
-/// with the starting position of each word's window in the original series.
-/// After numerosity reduction, words.size() == offsets.size() <= windows.
+/// Result of sliding-window discretization: a sequence of packed SAX words
+/// (sax/sax_word.h) together with the starting position of each word's
+/// window in the original series. After numerosity reduction,
+/// words.size() == offsets.size() <= windows.
 struct SaxRecords {
-  std::vector<std::string> words;
+  SaxWords words;
   std::vector<size_t> offsets;
 
   size_t size() const { return words.size(); }
   bool empty() const { return words.empty(); }
 };
 
-/// Discretizes one z-normalized window into a SAX word of length
-/// `opts.paa_size` using `alphabet` (must have size opts.alphabet_size).
-std::string SaxWordForWindow(std::span<const double> window,
-                             const SaxOptions& opts,
-                             const NormalAlphabet& alphabet);
+/// The reference discretization of one window: z-normalizes it, takes its
+/// PAA and maps each value to a letter of `alphabet` (which must have size
+/// opts.alphabet_size), writing the packed word to
+/// code[0..SaxLaneCount(opts.paa_size)).
+void SaxWordForWindow(std::span<const double> window, const SaxOptions& opts,
+                      const NormalAlphabet& alphabet, uint64_t* code);
+
+/// The numerosity-reduction decision (paper Section 3.2): whether the word
+/// `code` of `paa` letters is recorded after the last kept word `prev`
+/// (empty when nothing is kept yet). kExact is a lane compare; kMinDist
+/// reads the letter fields.
+inline bool KeepSaxWord(std::span<const uint64_t> prev,
+                        std::span<const uint64_t> code, size_t paa,
+                        NumerosityReduction numerosity,
+                        const NormalAlphabet& alphabet) {
+  if (prev.empty() || numerosity == NumerosityReduction::kNone) {
+    return true;
+  }
+  if (numerosity == NumerosityReduction::kExact) {
+    return !SameSaxWord(code, prev);
+  }
+  return !MinDistIsZero(code, prev, paa, alphabet);
+}
+
+/// Sliding-window discretization of `series` under `base` once per
+/// alphabet size in `alphabets` (base.alphabet_size is ignored): element i
+/// of the result holds the records under alphabets[i] with base's
+/// numerosity reduction. Each window's z-space PAA row is computed once
+/// from prefix sums and mapped straight to a code for every alphabet
+/// (SaxLetterMap); a row whose flat-window decision falls inside its
+/// numerical error bound, or with a value within its bound of a breakpoint
+/// of the group, is recomputed through SaxWordForWindow for every alphabet,
+/// so every word is identical to the reference path's. `stats`, when non-null,
+/// must be a RollingStats over exactly `series` (skips the per-call
+/// prefix-sum build). Fails when a config is invalid or the series is
+/// shorter than the window.
+StatusOr<std::vector<SaxRecords>> DiscretizeGroup(
+    std::span<const double> series, const SaxOptions& base,
+    std::span<const size_t> alphabets, const RollingStats* stats = nullptr);
 
 /// Full sliding-window discretization with the numerosity reduction from
-/// `opts` (paper Sections 3.1-3.2). Fails when `opts` is invalid or the
-/// series is shorter than the window.
+/// `opts` (paper Sections 3.1-3.2): DiscretizeGroup over one alphabet.
+/// Fails when `opts` is invalid or the series is shorter than the window.
 StatusOr<SaxRecords> Discretize(std::span<const double> series,
                                 const SaxOptions& opts);
 
@@ -77,63 +108,79 @@ StatusOr<SaxRecords> Discretize(std::span<const double> series,
 StatusOr<SaxRecords> DiscretizeAllWindows(std::span<const double> series,
                                           const SaxOptions& opts);
 
-/// The alphabet-independent half of sliding-window discretization: for every
-/// window position, the z-space PAA values of the window's segments together
-/// with the conservative error bounds the incremental kernel derives for
-/// them. Depends only on (window, paa_size, znorm_epsilon) — NOT on the
-/// alphabet — so one plane is reusable by every discretization that differs
-/// only in alphabet size (the ensemble engine's cache key). Rows whose
-/// flat-window decision fell inside its numerical guard carry no z values
-/// and are marked `fallback`; consumers recompute those windows through the
-/// reference path (SaxWordForWindow), exactly as Discretize() itself does.
-struct SaxZPlane {
-  size_t window = 0;
-  size_t paa_size = 0;
-  double znorm_epsilon = kDefaultZNormEpsilon;
-  /// Number of sliding-window positions (rows).
-  size_t positions = 0;
-  /// positions x paa_size, row-major. Valid only where !fallback[row].
-  std::vector<double> z;
-  /// Conservative bound on each z value's divergence from the reference
-  /// path's arithmetic; same layout as `z`.
-  std::vector<double> z_err;
-  /// 1 = the stats guard fired for this row; use the reference path.
-  std::vector<uint8_t> fallback;
-  /// Number of rows with fallback == 1 (diagnostic).
-  size_t fallback_rows = 0;
+/// Maps z-space PAA values to letters under one or more alphabets at once:
+/// a value is located once among the distinct breakpoints of all the
+/// alphabets (a branch-free binary search), and each alphabet's letter is
+/// then a table lookup by that position. Locate also guards each value: the
+/// reference path's value differs from z[j] by at most err[j], so a value
+/// that close to any breakpoint could land on the other side of it there,
+/// and the caller must use the reference path instead. For one alphabet
+/// that is exactly the guard against the two cuts around the value's
+/// region; for several it fires whenever any alphabet's guard would.
+class SaxLetterMap {
+ public:
+  /// `alphabets` must be non-empty sizes in [kMinAlphabetSize,
+  /// kMaxAlphabetSize].
+  explicit SaxLetterMap(std::span<const size_t> alphabets);
 
-  /// Whether this plane matches `opts`' alphabet-independent geometry.
-  bool Matches(const SaxOptions& opts) const {
-    return window == opts.window && paa_size == opts.paa_size &&
-           znorm_epsilon == opts.znorm_epsilon;
+  /// Writes the position of each of z[0..paa) among the breakpoints to
+  /// at[0..paa). Returns false when a value lies within its error bound
+  /// err[j] of a breakpoint.
+  bool Locate(const double* z, const double* err, size_t paa,
+              uint16_t* at) const {
+    bool guarded = false;
+    for (size_t j = 0; j < paa; ++j) {
+      // upper_bound: the number of cuts the value does not lie strictly
+      // below (a NaN lies below none, like NormalAlphabet::IndexOf).
+      const double* base = cuts_.data() + 1;
+      for (size_t n = cuts_.size() - 2; n > 1;) {
+        const size_t half = n / 2;
+        base = z[j] < base[half] ? base : base + half;
+        n -= half;
+      }
+      const size_t p = static_cast<size_t>(base - cuts_.data()) -
+                       static_cast<size_t>(z[j] < *base);
+      // The cuts around position p are cuts_[p] and cuts_[p + 1]: the
+      // framing infinities never fire the guard.
+      guarded |= (z[j] - cuts_[p] <= err[j]) | (cuts_[p + 1] - z[j] <= err[j]);
+      at[j] = static_cast<uint16_t>(p);
+    }
+    return !guarded;
   }
+
+  /// The packed word of alphabet `i` (index into the constructor's list)
+  /// for the positions at[0..paa), written to code[0..SaxLaneCount(paa)).
+  void Code(size_t i, const uint16_t* at, size_t paa, uint64_t* code) const {
+    const uint8_t* letter = letters_.data() + i * (cuts_.size() - 1);
+    uint64_t lane = 0;
+    if (paa <= kSaxLettersPerLane) {  // one lane: every default-grid word
+      for (size_t j = 0; j < paa; ++j) {
+        lane = (lane << kSaxLetterBits) | letter[at[j]];
+      }
+      code[0] = lane;
+      return;
+    }
+    for (size_t j = 0; j < paa; ++j) {
+      lane = (lane << kSaxLetterBits) | letter[at[j]];
+      if ((j + 1) % kSaxLettersPerLane == 0 || j + 1 == paa) {
+        code[j / kSaxLettersPerLane] = lane;
+        lane = 0;
+      }
+    }
+  }
+
+ private:
+  // The distinct breakpoints of every alphabet, ascending, framed by -inf
+  // and +inf; position p means cuts_[p] <= value < cuts_[p + 1]. At most
+  // 25 alphabets of at most 25 cuts each, so positions fit 16 bits.
+  std::vector<double> cuts_;
+  // Per alphabet, the letter of each position (cuts_.size() - 1 entries).
+  std::vector<uint8_t> letters_;
 };
 
-/// Computes the z-plane of `series` under `opts` (the alphabet_size field
-/// is validated but otherwise unused). `shared_stats`, when non-null, must
-/// be a RollingStats built over exactly `series`; passing it skips the
-/// per-call prefix-sum build so many configs can share one table.
-/// `num_threads` caps the lanes of the row loop on the shared pool (rows
-/// are independent pure functions of the prefix sums, so the plane is
-/// bit-identical for every thread count).
-StatusOr<SaxZPlane> ComputeSaxZPlane(std::span<const double> series,
-                                     const SaxOptions& opts,
-                                     const RollingStats* shared_stats = nullptr,
-                                     size_t num_threads = 1);
-
-/// Sliding-window discretization that reads PAA z values from a
-/// precomputed plane instead of recomputing them per window. Letter mapping
-/// still guards against `opts`' alphabet breakpoints and falls back to the
-/// reference path when a value is too close to a cut, so the output is
-/// byte-identical to Discretize(series, opts) for every input. Fails when
-/// the plane's geometry does not match `opts`.
-StatusOr<SaxRecords> DiscretizeWithZPlane(std::span<const double> series,
-                                          const SaxOptions& opts,
-                                          const SaxZPlane& plane);
-
-/// Per-segment PAA geometry shared by the batch and online incremental
-/// discretizers. Depends only on (window, paa_size) and is precomputed
-/// once per discretizer.
+/// Per-segment PAA geometry shared by the batch (DiscretizeGroup) and
+/// online incremental discretizers. Depends only on (window, paa_size) and
+/// is precomputed once per discretizer.
 struct SaxPaaGeometry {
   struct Segment {
     double lo;
@@ -151,76 +198,14 @@ struct SaxPaaGeometry {
   std::vector<Segment> segments;  // only for the non-divisible case
 };
 
-/// Incremental per-window discretization kernel over a fully materialized
-/// series: the series prefix sums plus the per-segment PAA geometry are
-/// built once, then each window's SAX word costs O(paa_size).
-///
-/// The kernel computes each z-space PAA value algebraically from raw-value
-/// range sums — for segment mean s, window mean mu and stddev sigma the
-/// z-normalized PAA value is (s - mu) / sigma — instead of materializing
-/// the z-normalized window and averaging it the way the reference path
-/// (SaxWordForWindow) does. The two orderings agree only up to rounding
-/// noise, so every *decision* (flat-vs-normalized window, value-vs-
-/// breakpoint) is guarded by a conservative error bound; a window whose
-/// decision falls inside the bound is recomputed through the reference
-/// path. That keeps the output byte-identical to the reference for every
-/// input while the guard virtually never fires on real data (the bound is
-/// orders of magnitude below typical breakpoint clearances).
-///
-/// Holds references to `series`, `opts`, and `alphabet`; all three must
-/// outlive the discretizer. For unbounded streams (no materialized series)
-/// use OnlineSaxDiscretizer below.
-class IncrementalDiscretizer {
- public:
-  /// `shared_stats`, when non-null, must be a RollingStats over exactly
-  /// `series`; the discretizer then skips its own prefix-sum build. The
-  /// prefix arrays are deterministic functions of the series, so shared and
-  /// owned tables yield bit-identical words. `kernel_backend` selects the
-  /// backend whose PaaSegmentSums kernel batches the divisible-case segment
-  /// sums (null = the process-wide backend::ActiveBackend()); that kernel
-  /// is bit-exact in every backend, so the emitted words are byte-identical
-  /// regardless of dispatch.
-  IncrementalDiscretizer(std::span<const double> series,
-                         const SaxOptions& opts,
-                         const NormalAlphabet& alphabet,
-                         const RollingStats* shared_stats = nullptr,
-                         const backend::KernelBackend* kernel_backend =
-                             nullptr);
-
-  /// Computes the SAX word of the window at `pos` into `word` (which must
-  /// have length paa_size). Falls back to the reference path internally
-  /// when a guard fires, so the result is always byte-identical to
-  /// SaxWordForWindow on the same window.
-  void WordAt(size_t pos, std::string& word);
-
-  /// The alphabet-independent half of the fast path: the z-space PAA values
-  /// of the window at `pos` and their error bounds, written to z[0..paa)
-  /// and err[0..paa). Returns false when the flat-window decision falls
-  /// inside its numerical guard (the row must use the reference path).
-  /// Const and writes only through the caller's pointers, so concurrent
-  /// calls on one instance are race-free.
-  bool ZRowAt(size_t pos, double* z, double* err) const;
-
- private:
-  bool FastWordAt(size_t pos, std::string& word) const;
-
-  std::span<const double> series_;
-  std::optional<RollingStats> owned_stats_;
-  const RollingStats* stats_;
-  const SaxOptions& opts_;
-  const NormalAlphabet& alphabet_;
-  const backend::KernelBackend* backend_;
-  SaxPaaGeometry geometry_;
-};
-
 /// Online (push-one-sample) incremental discretizer: the entry point the
 /// streaming engine ingests through. Bounded O(window) memory — a ring of
 /// the last `window` raw samples plus a ring of running prefix sums — and
-/// O(paa_size) per completed window, with the same byte-exactness contract
-/// as the batch kernel above: every emitted word is byte-identical to
-/// SaxWordForWindow over the same samples, because every numerical decision
-/// is guarded by a conservative error bound with fallback to the reference
-/// path (the window is materialized from the ring only when a guard fires).
+/// O(paa_size) per completed window, with the same exactness contract as
+/// DiscretizeGroup: every emitted code is identical to SaxWordForWindow
+/// over the same samples, because every numerical decision is guarded by a
+/// conservative error bound with fallback to the reference path (the
+/// window is materialized from the ring only when a guard fires).
 ///
 /// The prefix rings are rebased on a deterministic sample-count schedule so
 /// their magnitude — and with it the error bound — stays proportional to
@@ -236,9 +221,10 @@ class OnlineSaxDiscretizer {
   explicit OnlineSaxDiscretizer(const SaxOptions& opts);
 
   /// Feeds one sample. When this sample completes a window (i.e. at least
-  /// `window` samples have been pushed), writes that window's SAX word into
-  /// `word`, its start index into `*pos`, and returns true.
-  bool Push(double value, std::string& word, size_t* pos);
+  /// `window` samples have been pushed), writes that window's packed word
+  /// to code[0..SaxLaneCount(paa_size)), its start index into `*pos`, and
+  /// returns true.
+  bool Push(double value, uint64_t* code, size_t* pos);
 
   size_t samples_seen() const { return pushed_; }
   const SaxOptions& options() const { return opts_; }
@@ -248,10 +234,9 @@ class OnlineSaxDiscretizer {
   size_t fallback_words() const { return fallback_words_; }
 
  private:
-  bool FastWordAt(size_t pos, std::string& word);
-
   SaxOptions opts_;
   NormalAlphabet alphabet_;
+  SaxLetterMap letters_;
   SaxPaaGeometry geometry_;
   size_t pushed_ = 0;
   size_t rebase_period_;
@@ -261,6 +246,7 @@ class OnlineSaxDiscretizer {
   std::vector<double> scratch_;  // contiguous window copy for fallbacks
   std::vector<double> zrow_;
   std::vector<double> zerr_;
+  std::vector<uint16_t> located_;
   size_t fallback_words_ = 0;
 };
 

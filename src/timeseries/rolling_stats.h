@@ -1,6 +1,8 @@
 #ifndef GVA_TIMESERIES_ROLLING_STATS_H_
 #define GVA_TIMESERIES_ROLLING_STATS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -71,10 +73,18 @@ class RollingStats {
   /// accumulation error both summations carry. Used by the SAX kernel to
   /// decide when a prefix-derived value is too close to a discretization
   /// breakpoint to trust.
-  double RangeSumErrorBound(size_t pos, size_t len) const;
+  double RangeSumErrorBound(size_t pos, size_t len) const {
+    const double lo = std::abs(prefix_[pos]);
+    const double hi = std::abs(prefix_[pos + len]);
+    return kRangeSumErrFactor * std::max({1.0, lo, hi});
+  }
 
   /// Same bound for SumSq(pos, len).
-  double RangeSumSqErrorBound(size_t pos, size_t len) const;
+  double RangeSumSqErrorBound(size_t pos, size_t len) const {
+    const double lo = prefix_sq_[pos];
+    const double hi = prefix_sq_[pos + len];
+    return kRangeSumErrFactor * std::max({1.0, lo, hi});
+  }
 
   /// The raw prefix-sum table (size() + 1 entries, PrefixSums()[i] = sum of
   /// the first i values). Exposed so batched kernels — the backend layer's

@@ -16,9 +16,18 @@ double Mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double Variance(std::span<const double> values) {
+namespace {
+
+struct MeanVariance {
+  double mean = 0.0;
+  double variance = 0.0;
+};
+
+/// The mean and the population variance about it: the one squared-deviation
+/// loop of this file.
+MeanVariance MeanAndVariance(std::span<const double> values) {
   if (values.empty()) {
-    return 0.0;
+    return {};
   }
   const double mean = Mean(values);
   double sum_sq = 0.0;
@@ -26,11 +35,22 @@ double Variance(std::span<const double> values) {
     const double d = v - mean;
     sum_sq += d * d;
   }
-  return sum_sq / static_cast<double>(values.size());
+  return {mean, sum_sq / static_cast<double>(values.size())};
+}
+
+}  // namespace
+
+MeanStdDev MeanAndStdDev(std::span<const double> values) {
+  const MeanVariance m = MeanAndVariance(values);
+  return {m.mean, std::sqrt(m.variance)};
+}
+
+double Variance(std::span<const double> values) {
+  return MeanAndVariance(values).variance;
 }
 
 double StdDev(std::span<const double> values) {
-  return std::sqrt(Variance(values));
+  return MeanAndStdDev(values).sd;
 }
 
 double Min(std::span<const double> values) {

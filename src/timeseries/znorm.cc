@@ -10,8 +10,7 @@ void ZNormalize(std::span<const double> values, std::vector<double>& out,
   if (values.empty()) {
     return;
   }
-  const double mean = Mean(values);
-  const double sd = StdDev(values);
+  const auto [mean, sd] = MeanAndStdDev(values);
   if (sd < epsilon) {
     for (size_t i = 0; i < values.size(); ++i) {
       out[i] = values[i] - mean;

@@ -43,6 +43,25 @@ std::string_view StripWhitespace(std::string_view text) {
   return text.substr(begin, end - begin + 1);
 }
 
+bool ParseSize(std::string_view text, size_t* out) {
+  if (text.empty()) {
+    return false;
+  }
+  size_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const auto digit = static_cast<size_t>(c - '0');
+    if (value > (SIZE_MAX - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 std::string StrFormat(const char* format, ...) {
   va_list args;
   va_start(args, format);

@@ -18,6 +18,12 @@ std::vector<std::string> Split(std::string_view text, char delimiter);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view text);
 
+/// Parses a non-negative decimal integer that is all of `text`: digits
+/// only — no sign, no whitespace, no trailing characters — and no larger
+/// than SIZE_MAX. Returns false (leaving *out untouched) otherwise, so
+/// "abc" is not read as 0 and "-5" does not wrap.
+bool ParseSize(std::string_view text, size_t* out);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));

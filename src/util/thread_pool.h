@@ -14,7 +14,7 @@
 namespace gva {
 
 /// The one process-wide executor behind every parallel loop (the discord
-/// searches, the ensemble, the z-plane rows). Callers never own a pool:
+/// searches, the ensemble, the parameter sweep). Callers never own a pool:
 /// they pass their lane cap (`num_threads`) to ParallelFor, which splits the
 /// range into min(n, lanes) chunks, queues all but the first on the shared
 /// pool and runs chunk 0 on the calling thread. A one-lane call runs inline

@@ -69,7 +69,7 @@ std::string EnsembleConfigTable(const EnsembleDetection& detection) {
                      c.cache_hit ? "cache hit" : "computed");
   }
   out << StrFormat(
-      "configs used: %zu/%zu, z-plane cache: %llu hits / %llu misses\n",
+      "configs used: %zu/%zu, substrate cache: %llu hits / %llu misses\n",
       detection.configs_used, detection.configs.size(),
       static_cast<unsigned long long>(detection.cache_hits),
       static_cast<unsigned long long>(detection.cache_misses));

@@ -119,7 +119,7 @@ StatusOr<GrammarProfile> OracleProfile(std::span<const double> series,
   for (size_t i = 0; i < records.size(); ++i) {
     ZNormalize(WindowAt(series, records.offsets[i], options.window),
                normalized, options.znorm_epsilon);
-    const std::string& word = records.words[i];
+    const std::string word = records.words.Letters(i);
     for (size_t p = 0; p < options.window; ++p) {
       const size_t segment = std::min(options.paa_size - 1,
                                       p * options.paa_size / options.window);

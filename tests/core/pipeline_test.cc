@@ -33,7 +33,8 @@ TEST(PipelineTest, TokensRoundTripThroughVocabulary) {
   ASSERT_TRUE(d.ok());
   // Each token id decodes to the word recorded at the same index.
   for (size_t i = 0; i < d->records.size(); ++i) {
-    EXPECT_EQ(d->grammar.WordOf(d->grammar.tokens[i]), d->records.words[i]);
+    EXPECT_EQ(d->grammar.WordOf(d->grammar.tokens[i]),
+              d->records.words.Letters(i));
   }
   // The grammar's R0 expansion reproduces the token stream.
   EXPECT_EQ(d->grammar.grammar.ExpandToTerminals(0), d->grammar.tokens);

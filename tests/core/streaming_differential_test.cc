@@ -1,8 +1,9 @@
 // Differential correctness suite for the streaming engine: the streaming
 // report must be bit-for-bit identical to the batch detector run over the
 // same suffix/horizon, at every report cadence, with the batch side
-// computed through the parallel z-plane substrate (so the ThreadPool is
-// exercised and the suite runs under tsan via the `concurrency` label).
+// computed through the group discretizer on concurrent pool lanes (so the
+// ThreadPool is exercised and the suite runs under tsan via the
+// `concurrency` label).
 // Streaming changes *when* work happens, never the result.
 
 #include <algorithm>
@@ -17,25 +18,38 @@
 #include "core/streaming.h"
 #include "datasets/simple.h"
 #include "sax/sax_transform.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace gva {
 namespace {
 
-/// Batch detection over `suffix` computed through the threaded substrate:
-/// parallel z-plane -> guarded letter mapping -> decomposition tail ->
-/// anomaly extraction. By the z-plane's byte-exactness contract this equals
-/// DetectDensityAnomalies(suffix, sax, density) for every thread count.
+/// Batch detection over `suffix` computed through the group discretizer
+/// run concurrently on `num_threads` pool lanes (every lane discretizes the
+/// suffix and all must agree) -> decomposition tail -> anomaly extraction.
+/// By DiscretizeGroup's exactness contract this equals
+/// DetectDensityAnomalies(suffix, sax, density) for every lane count.
 DensityDetection BatchDetect(std::span<const double> suffix,
                              const SaxOptions& sax,
                              const DensityAnomalyOptions& density,
                              size_t num_threads) {
-  auto plane = ComputeSaxZPlane(suffix, sax, nullptr, num_threads);
-  EXPECT_TRUE(plane.ok()) << plane.status().ToString();
-  auto records = DiscretizeWithZPlane(suffix, sax, *plane);
-  EXPECT_TRUE(records.ok()) << records.status().ToString();
+  std::vector<StatusOr<std::vector<SaxRecords>>> lanes(
+      num_threads, Status::Internal("lane did not run"));
+  ThreadPool::ParallelFor(num_threads, 0, num_threads,
+                          [&](size_t begin, size_t end, size_t) {
+                            for (size_t lane = begin; lane < end; ++lane) {
+                              lanes[lane] = DiscretizeGroup(
+                                  suffix, sax, {&sax.alphabet_size, 1});
+                            }
+                          });
+  GVA_CHECK(lanes[0].ok()) << lanes[0].status().ToString();
+  for (const auto& lane : lanes) {
+    EXPECT_TRUE(lane.ok() && lane->front().words == lanes[0]->front().words &&
+                lane->front().offsets == lanes[0]->front().offsets);
+  }
+  SaxRecords records = std::move(lanes[0]->front());
   auto decomposition =
-      DecomposeSeriesWithRecords(suffix, sax, std::move(*records));
+      DecomposeSeriesWithRecords(suffix, sax, std::move(records));
   EXPECT_TRUE(decomposition.ok()) << decomposition.status().ToString();
   DensityDetection detection;
   detection.decomposition = std::move(*decomposition);

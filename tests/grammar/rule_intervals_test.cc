@@ -12,15 +12,18 @@ namespace {
 // Builds a small hand-made decomposition: words at known offsets with a
 // known grammar, so the interval mapping can be verified exactly.
 TEST(RuleIntervalsTest, MapsOccurrencesThroughOffsets) {
-  // Input words: A B x y A B (after numerosity reduction) with offsets
+  // Input words: a b x y a b (after numerosity reduction) with offsets
   // chosen unevenly, window 10, series length 100.
-  std::vector<std::string> words{"A", "B", "x", "y", "A", "B"};
+  std::vector<std::string> words{"a", "b", "x", "y", "a", "b"};
   auto wg = InferGrammarFromWords(words);
   ASSERT_TRUE(wg.ok());
-  ASSERT_EQ(wg->grammar.size(), 2u);  // R1 = A B used twice
+  ASSERT_EQ(wg->grammar.size(), 2u);  // R1 = a b used twice
 
   SaxRecords records;
-  records.words = words;
+  records.words = SaxWords(1);
+  for (const std::string& word : words) {
+    records.words.push_back(PackSaxLetters(word));
+  }
   records.offsets = {0, 5, 17, 30, 42, 60};
 
   std::vector<RuleInterval> intervals =
@@ -35,11 +38,14 @@ TEST(RuleIntervalsTest, MapsOccurrencesThroughOffsets) {
 }
 
 TEST(RuleIntervalsTest, ClampsAtSeriesEnd) {
-  std::vector<std::string> words{"A", "B", "A", "B"};
+  std::vector<std::string> words{"a", "b", "a", "b"};
   auto wg = InferGrammarFromWords(words);
   ASSERT_TRUE(wg.ok());
   SaxRecords records;
-  records.words = words;
+  records.words = SaxWords(1);
+  for (const std::string& word : words) {
+    records.words.push_back(PackSaxLetters(word));
+  }
   records.offsets = {0, 3, 80, 95};
   std::vector<RuleInterval> intervals =
       MapRuleIntervals(wg->grammar, records, 10, 100);

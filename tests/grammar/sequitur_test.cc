@@ -412,7 +412,7 @@ TEST(WordGrammarTest, VocabularyInFirstOccurrenceOrder) {
 }
 
 TEST(WordGrammarTest, EmptyWordList) {
-  auto wg = InferGrammarFromWords({});
+  auto wg = InferGrammarFromWords(std::vector<std::string>{});
   ASSERT_TRUE(wg.ok());
   EXPECT_TRUE(wg->vocabulary.empty());
   EXPECT_EQ(wg->grammar.size(), 1u);

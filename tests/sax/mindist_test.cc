@@ -22,13 +22,15 @@ TEST(MinDistTest, IdenticalWordsAreZero) {
 TEST(MinDistTest, AdjacentLettersAreZero) {
   NormalAlphabet a(4);
   EXPECT_DOUBLE_EQ(MinDist("abba", "baab", 64, a), 0.0);
-  EXPECT_TRUE(MinDistIsZero("abba", "baab", a));
+  EXPECT_TRUE(
+      MinDistIsZero(PackSaxLetters("abba"), PackSaxLetters("baab"), 4, a));
 }
 
 TEST(MinDistTest, FarLettersArePositive) {
   NormalAlphabet a(4);
   EXPECT_GT(MinDist("aaaa", "dddd", 64, a), 0.0);
-  EXPECT_FALSE(MinDistIsZero("aaaa", "dddd", a));
+  EXPECT_FALSE(
+      MinDistIsZero(PackSaxLetters("aaaa"), PackSaxLetters("dddd"), 4, a));
 }
 
 TEST(MinDistTest, ScalesWithSqrtCompressionRatio) {
@@ -73,8 +75,11 @@ TEST_P(MinDistLowerBoundTest, LowerBoundsTrueDistance) {
     const std::vector<double> zx = ZNormalized(x);
     const std::vector<double> zy = ZNormalized(y);
     const double true_dist = EuclideanDistance(zx, zy);
-    const std::string wx = SaxWordForWindow(x, opts, alphabet);
-    const std::string wy = SaxWordForWindow(y, opts, alphabet);
+    std::vector<uint64_t> code(SaxLaneCount(paa));
+    SaxWordForWindow(x, opts, alphabet, code.data());
+    const std::string wx = SaxLetters(code, paa);
+    SaxWordForWindow(y, opts, alphabet, code.data());
+    const std::string wy = SaxLetters(code, paa);
     const double lower = MinDist(wx, wy, n, alphabet);
     EXPECT_LE(lower, true_dist + 1e-9)
         << "alpha=" << alpha << " paa=" << paa << " trial=" << trial;

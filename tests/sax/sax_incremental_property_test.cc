@@ -7,6 +7,7 @@
 // sums, and non-divisible window/paa geometry).
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,18 +22,27 @@
 namespace gva {
 namespace {
 
+/// Words as letters with their window offsets.
+struct LetterRecords {
+  std::vector<std::string> words;
+  std::vector<size_t> offsets;
+};
+
 /// The pre-kernel-overhaul implementation: one full z-normalize + PAA per
 /// window through the reference path, with the numerosity reduction applied
-/// on the fly. The incremental kernel's contract is byte-identical output.
-SaxRecords ReferenceDiscretize(std::span<const double> series,
-                               const SaxOptions& opts,
-                               NumerosityReduction numerosity) {
+/// on the fly to the words as letters. The incremental kernel's contract is
+/// identical output.
+LetterRecords ReferenceDiscretize(std::span<const double> series,
+                                  const SaxOptions& opts,
+                                  NumerosityReduction numerosity) {
   const NormalAlphabet alphabet(opts.alphabet_size);
   const size_t windows = NumSlidingWindows(series.size(), opts.window);
-  SaxRecords records;
+  LetterRecords records;
+  std::vector<uint64_t> code(SaxLaneCount(opts.paa_size));
   for (size_t pos = 0; pos < windows; ++pos) {
-    std::string word =
-        SaxWordForWindow(WindowAt(series, pos, opts.window), opts, alphabet);
+    SaxWordForWindow(WindowAt(series, pos, opts.window), opts, alphabet,
+                     code.data());
+    std::string word = SaxLetters(code, opts.paa_size);
     bool keep = true;
     if (!records.words.empty()) {
       const std::string& prev = records.words.back();
@@ -43,7 +53,7 @@ SaxRecords ReferenceDiscretize(std::span<const double> series,
           keep = (word != prev);
           break;
         case NumerosityReduction::kMinDist:
-          keep = !MinDistIsZero(word, prev, alphabet);
+          keep = MinDist(word, prev, opts.window, alphabet) != 0.0;
           break;
       }
     }
@@ -53,6 +63,15 @@ SaxRecords ReferenceDiscretize(std::span<const double> series,
     }
   }
   return records;
+}
+
+/// Every word of `records` rendered as letters.
+std::vector<std::string> Letters(const SaxRecords& records) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < records.size(); ++i) {
+    out.push_back(records.words.Letters(i));
+  }
+  return out;
 }
 
 struct NamedSeries {
@@ -121,8 +140,8 @@ TEST(IncrementalSaxPropertyTest, ByteIdenticalToReferenceAcrossGrid) {
           opts.numerosity = mode;
           auto fast = Discretize(s.values, opts);
           ASSERT_TRUE(fast.ok());
-          SaxRecords ref = ReferenceDiscretize(s.values, opts, mode);
-          EXPECT_EQ(fast->words, ref.words)
+          LetterRecords ref = ReferenceDiscretize(s.values, opts, mode);
+          EXPECT_EQ(Letters(*fast), ref.words)
               << s.name << " w=" << window << " paa=" << paa
               << " a=" << alpha << " mode=" << static_cast<int>(mode);
           EXPECT_EQ(fast->offsets, ref.offsets)
@@ -143,9 +162,9 @@ TEST(IncrementalSaxPropertyTest, AllWindowsIsByteIdenticalToo) {
     opts.alphabet_size = 4;
     auto fast = DiscretizeAllWindows(s.values, opts);
     ASSERT_TRUE(fast.ok());
-    SaxRecords ref =
+    LetterRecords ref =
         ReferenceDiscretize(s.values, opts, NumerosityReduction::kNone);
-    EXPECT_EQ(fast->words, ref.words) << s.name;
+    EXPECT_EQ(Letters(*fast), ref.words) << s.name;
     EXPECT_EQ(fast->offsets, ref.offsets) << s.name;
   }
 }
@@ -168,8 +187,8 @@ TEST(IncrementalSaxPropertyTest, CustomEpsilonStillByteIdentical) {
     opts.znorm_epsilon = eps;
     auto fast = Discretize(v, opts);
     ASSERT_TRUE(fast.ok());
-    SaxRecords ref = ReferenceDiscretize(v, opts, opts.numerosity);
-    EXPECT_EQ(fast->words, ref.words) << "eps=" << eps;
+    LetterRecords ref = ReferenceDiscretize(v, opts, opts.numerosity);
+    EXPECT_EQ(Letters(*fast), ref.words) << "eps=" << eps;
     EXPECT_EQ(fast->offsets, ref.offsets) << "eps=" << eps;
   }
 }

@@ -1,6 +1,9 @@
 #include "sax/sax_transform.h"
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +24,14 @@ SaxOptions Opts(size_t window, size_t paa, size_t alpha,
   return o;
 }
 
+/// The reference path's word for `window`, rendered as letters.
+std::string WordOf(std::span<const double> window, const SaxOptions& opts,
+                   const NormalAlphabet& alphabet) {
+  std::vector<uint64_t> code(SaxLaneCount(opts.paa_size));
+  SaxWordForWindow(window, opts, alphabet, code.data());
+  return SaxLetters(code, opts.paa_size);
+}
+
 TEST(SaxOptionsTest, ValidationCatchesBadParameters) {
   EXPECT_TRUE(Opts(16, 4, 4).Validate().ok());
   EXPECT_FALSE(Opts(1, 1, 4).Validate().ok());    // window too small
@@ -39,7 +50,7 @@ TEST(SaxWordTest, RampMapsToAscendingLetters) {
     ramp.push_back(static_cast<double>(i));
   }
   NormalAlphabet alphabet(4);
-  std::string word = SaxWordForWindow(ramp, Opts(40, 4, 4), alphabet);
+  std::string word = WordOf(ramp, Opts(40, 4, 4), alphabet);
   EXPECT_EQ(word, "abcd");
 }
 
@@ -49,7 +60,7 @@ TEST(SaxWordTest, DescendingRampReverses) {
     ramp.push_back(static_cast<double>(i));
   }
   NormalAlphabet alphabet(4);
-  EXPECT_EQ(SaxWordForWindow(ramp, Opts(40, 4, 4), alphabet), "dcba");
+  EXPECT_EQ(WordOf(ramp, Opts(40, 4, 4), alphabet), "dcba");
 }
 
 TEST(SaxWordTest, FlatWindowIsAllMidLetters) {
@@ -57,7 +68,7 @@ TEST(SaxWordTest, FlatWindowIsAllMidLetters) {
   NormalAlphabet alphabet(4);
   // Mean-centered zeros land in the upper-middle region ('c' for size 4
   // since 0 sits on the middle breakpoint).
-  EXPECT_EQ(SaxWordForWindow(flat, Opts(24, 4, 4), alphabet), "cccc");
+  EXPECT_EQ(WordOf(flat, Opts(24, 4, 4), alphabet), "cccc");
 }
 
 TEST(SaxWordTest, ShapeInvariantToScaleAndOffset) {
@@ -70,8 +81,8 @@ TEST(SaxWordTest, ShapeInvariantToScaleAndOffset) {
     scaled.push_back(250.0 * v - 77.0);
   }
   NormalAlphabet alphabet(5);
-  EXPECT_EQ(SaxWordForWindow(base, Opts(60, 6, 5), alphabet),
-            SaxWordForWindow(scaled, Opts(60, 6, 5), alphabet));
+  EXPECT_EQ(WordOf(base, Opts(60, 6, 5), alphabet),
+            WordOf(scaled, Opts(60, 6, 5), alphabet));
 }
 
 TEST(DiscretizeTest, FailsWhenSeriesShorterThanWindow) {
@@ -98,7 +109,7 @@ TEST(DiscretizeTest, ExactReductionDropsConsecutiveDuplicates) {
   EXPECT_LT(reduced->size(), all->size());
   // No two consecutive kept words are equal.
   for (size_t i = 1; i < reduced->size(); ++i) {
-    EXPECT_NE(reduced->words[i], reduced->words[i - 1]);
+    EXPECT_NE(reduced->words.Letters(i), reduced->words.Letters(i - 1));
   }
   // Offsets are strictly increasing and within range.
   for (size_t i = 1; i < reduced->size(); ++i) {
@@ -115,7 +126,7 @@ TEST(DiscretizeTest, ReducedIsSubsequenceOfAll) {
   ASSERT_TRUE(reduced.ok());
   for (size_t i = 0; i < reduced->size(); ++i) {
     const size_t pos = reduced->offsets[i];
-    EXPECT_EQ(reduced->words[i], all->words[pos]);
+    EXPECT_EQ(reduced->words.Letters(i), all->words.Letters(pos));
   }
 }
 

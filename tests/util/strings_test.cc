@@ -47,5 +47,19 @@ TEST(FormatWithThousandsTest, MatchesPaperTypography) {
   EXPECT_EQ(FormatWithThousands(1130000000000ULL), "1'130'000'000'000");
 }
 
+TEST(ParseSizeTest, AcceptsDigitsOnly) {
+  size_t value = 7;
+  EXPECT_TRUE(ParseSize("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseSize("18446744073709551615", &value));
+  EXPECT_EQ(value, SIZE_MAX);
+  for (const char* bad : {"", "abc", "-5", "+5", " 5", "5 ", "3x", "1.5",
+                          "18446744073709551616", "99999999999999999999"}) {
+    value = 7;
+    EXPECT_FALSE(ParseSize(bad, &value)) << "'" << bad << "'";
+    EXPECT_EQ(value, 7u) << "'" << bad << "' must leave the output alone";
+  }
+}
+
 }  // namespace
 }  // namespace gva

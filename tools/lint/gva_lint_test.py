@@ -310,7 +310,7 @@ class PoolConstructionRule(unittest.TestCase):
 
     def test_real_tree_builds_no_pool(self) -> None:
         # The regression pin for the shared executor: no search, the
-        # ensemble, the z-plane or an example owns a pool.
+        # ensemble, the parameter sweep or an example owns a pool.
         root = os.path.normpath(os.path.join(
             os.path.dirname(os.path.abspath(__file__)), "..", ".."))
         files = gva_lint.collect_files(root, ["src", "examples"])

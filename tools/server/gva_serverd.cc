@@ -34,6 +34,7 @@
 
 #include "net/server.h"
 #include "obs/recorder.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -53,16 +54,6 @@ int Usage() {
                "usage: gva_serverd [--port N] [--bind ADDR] [--slots N] "
                "[--queue N] [--job-threads N] [--max-streams N] [--quiet]\n");
   return 2;
-}
-
-bool ParseSize(const char* text, size_t* out) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<size_t>(value);
-  return true;
 }
 
 }  // namespace
@@ -85,7 +76,7 @@ int main(int argc, char** argv) {
       options.bind_address = value;
       continue;
     }
-    if (!ParseSize(value, &parsed)) {
+    if (!gva::ParseSize(value, &parsed)) {
       return Usage();
     }
     if (flag == "--port" && parsed <= 65535) {
